@@ -31,6 +31,7 @@ std::uint32_t OverlayConstraintGraph::vertexFor(NetId net) {
   adj_.emplace_back();
   idx_.emplace(net, v);
   hard_.ensure(v);
+  classColor_.push_back(Color::Unassigned);
   classMembers_[v] = {v};
   return v;
 }
@@ -51,9 +52,10 @@ int OverlayConstraintGraph::hardRelationOf(const Classification& cls) const {
 
 void OverlayConstraintGraph::recountDiffViolations() {
   // k >= 3 invariant: hardViolations_ == number of alive must-differ edges
-  // whose endpoints landed in the same equality class. Unlike the k == 2
-  // monotone counter this is recomputable, which removeNet's rebuild and
-  // class merges rely on.
+  // whose endpoints landed in the same equality class. Unlike k == 2, where
+  // a contradicting unite leaves no trace in the DSU (so the edge carries a
+  // failed bit), this count is recomputable from the DSU, which removeNet's
+  // class rebuild and class merges rely on.
   int n = 0;
   for (std::uint32_t ei : diffEdges_) {
     const OcgEdge& e = edges_[ei];
@@ -69,6 +71,9 @@ void OverlayConstraintGraph::recountDiffViolations() {
 
 bool OverlayConstraintGraph::addScenario(NetId a, NetId b,
                                          const Classification& cls) {
+  // Fragments of one net never interact (Theorem 3); a self-loop would
+  // also sit twice in one adjacency list, which removeNet cannot unlink.
+  if (a == b) return true;
   const bool material = (k_ == 2 || !spec_ || !spec_->material)
                             ? cls.material()
                             : spec_->material(cls);
@@ -131,6 +136,7 @@ bool OverlayConstraintGraph::addScenario(NetId a, NetId b,
   // through the root, and pseudoColor()/flipping rewrite class colors.
   if (!hard_.unite(u, v, rel)) {
     ++hardViolations_;
+    edges_[ei].failed = true;
     return false;
   }
   if (ru != rv) {
@@ -156,6 +162,10 @@ void OverlayConstraintGraph::removeNet(NetId net) {
     OcgEdge& e = edges_[ei];
     if (!e.alive) continue;
     e.alive = false;
+    if (e.failed) {
+      --hardViolations_;
+      e.failed = false;
+    }
     removedHard |= (k_ == 2) ? e.hard() : hardRelationOf(e.cls) >= 0;
     const std::uint32_t other = (e.u == v) ? e.v : e.u;
     auto& oadj = adj_[other];
@@ -163,70 +173,76 @@ void OverlayConstraintGraph::removeNet(NetId net) {
   }
   adj_[v].clear();
   if (removedHard) {
-    // The rebuild re-roots every class and transfers colors through the
-    // snapshot, so the removed vertex's (possibly root) entry is handled.
-    rebuildHardStructure();
+    rebuildHardClass(v);
   } else {
     // Without hard edges the vertex is a singleton class; dropping its
     // color entry cannot affect anyone else.
-    classColor_.erase(v);
+    classColor_[v] = Color::Unassigned;
   }
 }
 
-void OverlayConstraintGraph::rebuildHardStructure() {
-  // Preserve vertex colors across the rebuild: the class representative
-  // may change, so snapshot per-vertex colors first.
-  std::vector<Color> snapshot(nets_.size(), Color::Unassigned);
-  for (std::uint32_t v = 0; v < nets_.size(); ++v) {
-    snapshot[v] = classColorOf(v);
+void OverlayConstraintGraph::rebuildHardClass(std::uint32_t v) {
+  // Invariant: the DSU equals a replay of the alive hard edges in edge-index
+  // order. Removing v's edges can only split v's class, and union by rank
+  // depends only on the two sets joined, so replaying that class's
+  // surviving edges from singletons (in the same order) yields exactly the
+  // roots, parities and ranks of a full replay.
+  auto node = classMembers_.extract(std::uint32_t(hard_.find(v).first));
+  assert(!node.empty());
+  std::vector<std::uint32_t> members = std::move(node.mapped());
+  std::sort(members.begin(), members.end());
+  // Vertex colors survive the re-rooting (v keeps its own on its new
+  // singleton). Every member's entry goes, not just the root's: a root
+  // merged away earlier keeps a stale one, and it may be a root again.
+  std::vector<Color> colors(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    colors[i] = classColorOf(members[i]);
   }
-  hard_.clear();
-  hard_.ensure(nets_.size() == 0 ? 0 : nets_.size() - 1);
-  classColor_.clear();
-  hardViolations_ = 0;
-  if (k_ == 2) {
-    for (const OcgEdge& e : edges_) {
-      if (!e.alive || !e.hard()) continue;
-      const std::optional<std::uint8_t> rel = hardParity(e.cls);
-      if (!rel) continue;
-      if (!hard_.unite(e.u, e.v, *rel)) ++hardViolations_;
-    }
-  } else {
-    diffEdges_.clear();
-    for (std::uint32_t ei = 0; ei < edges_.size(); ++ei) {
+  std::vector<std::uint32_t> hardEdges;
+  for (std::uint32_t w : members) {
+    classColor_[w] = Color::Unassigned;
+    hard_.reset(w);
+    for (std::uint32_t ei : adj_[w]) {
       const OcgEdge& e = edges_[ei];
-      if (!e.alive) continue;
-      const int rel = hardRelationOf(e.cls);
-      if (rel == 0) {
-        hard_.unite(e.u, e.v, 0);
-      } else if (rel == 1) {
-        diffEdges_.push_back(ei);
-      }
+      const bool replay = (k_ == 2) ? e.hard() && hardParity(e.cls)
+                                    : hardRelationOf(e.cls) == 0;
+      if (e.alive && replay) hardEdges.push_back(ei);
     }
   }
-  classMembers_.clear();
-  for (std::uint32_t v = 0; v < nets_.size(); ++v) {
-    auto [root, par] = hard_.find(v);
-    classMembers_[std::uint32_t(root)].push_back(v);
-    (void)par;
+  // Each intra-class edge sits in both endpoints' adjacency.
+  std::sort(hardEdges.begin(), hardEdges.end());
+  hardEdges.erase(std::unique(hardEdges.begin(), hardEdges.end()),
+                  hardEdges.end());
+  for (std::uint32_t ei : hardEdges) {
+    OcgEdge& e = edges_[ei];
+    if (k_ > 2) {
+      hard_.unite(e.u, e.v, 0);
+      continue;
+    }
+    hardViolations_ -= e.failed;
+    e.failed = !hard_.unite(e.u, e.v, *hardParity(e.cls));
+    hardViolations_ += e.failed;
   }
-  for (std::uint32_t v = 0; v < nets_.size(); ++v) {
-    if (snapshot[v] == Color::Unassigned) continue;
-    auto [root, par] = hard_.find(v);
-    const Color rootColor =
-        par ? flippedColor(snapshot[v]) : snapshot[v];
-    classColor_[std::uint32_t(root)] = rootColor;  // last write wins
+  for (std::uint32_t w : members) {
+    classMembers_[std::uint32_t(hard_.find(w).first)].push_back(w);
   }
-  if (k_ > 2) recountDiffViolations();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (colors[i] == Color::Unassigned) continue;
+    auto [root, par] = hard_.find(members[i]);
+    classColor_[std::uint32_t(root)] =
+        par ? flippedColor(colors[i]) : colors[i];  // last write wins
+  }
+  if (k_ > 2) {
+    std::erase_if(diffEdges_,
+                  [&](std::uint32_t ei) { return !edges_[ei].alive; });
+    recountDiffViolations();
+  }
 }
 
 Color OverlayConstraintGraph::classColorOf(std::uint32_t vertex) const {
   auto [root, par] = hard_.find(vertex);
-  auto it = classColor_.find(std::uint32_t(root));
-  if (it == classColor_.end() || it->second == Color::Unassigned) {
-    return Color::Unassigned;
-  }
-  return par ? flippedColor(it->second) : it->second;
+  const Color c = classColor_[root];
+  return par ? flippedColor(c) : c;  // Unassigned flips to Unassigned
 }
 
 Color OverlayConstraintGraph::colorOf(NetId net) const {

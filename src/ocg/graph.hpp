@@ -30,6 +30,9 @@ struct OcgEdge {
   std::uint32_t v = 0;
   Classification cls;
   bool alive = true;
+  /// k == 2 only: this hard edge's parity unite contradicted its class
+  /// (it closes an odd cycle); counted in hardViolations_ while alive.
+  bool failed = false;
 
   bool hard() const { return cls.hard(); }
 };
@@ -69,14 +72,16 @@ class OverlayConstraintGraph {
   NetId netOf(std::uint32_t vertex) const { return nets_[vertex]; }
   std::size_t vertexCount() const { return nets_.size(); }
 
-  /// Adds a scenario edge between two nets. Trivial classifications are
-  /// ignored. Returns false iff the edge is hard and closes an odd cycle of
-  /// hard constraints (a hard-overlay violation): the edge is still
-  /// recorded so removeNet() can undo it, but the graph is flagged.
+  /// Adds a scenario edge between two nets. Trivial classifications and
+  /// same-net pairs are ignored. Returns false iff the edge is hard and
+  /// closes an odd cycle of hard constraints (a hard-overlay violation):
+  /// the edge is still recorded so removeNet() can undo it, but the graph
+  /// is flagged.
   bool addScenario(NetId a, NetId b, const Classification& cls);
 
-  /// Removes every edge incident to a net (rip-up) and rebuilds the hard
-  /// parity structure from the surviving edges.
+  /// Removes every edge incident to a net (rip-up). A removal can only
+  /// split the net's own hard class, so only that class is re-replayed
+  /// (O(class edges), not O(graph); DESIGN.md §5.5).
   void removeNet(NetId net);
 
   /// True if some hard odd cycle is currently present.
@@ -144,7 +149,10 @@ class OverlayConstraintGraph {
 
  private:
   std::int64_t costOfAssignment(const OcgEdge& e, Color cu, Color cv) const;
-  void rebuildHardStructure();
+  /// Re-replays the surviving hard edges of v's (old) class from
+  /// singletons, leaving the DSU, class members, class colors and the
+  /// violation count exactly as a replay of every alive hard edge would.
+  void rebuildHardClass(std::uint32_t v);
   Color classColorOf(std::uint32_t vertex) const;
   /// k >= 3 only: recounts must-differ hard edges whose endpoints share an
   /// equality class (each one is a hard-overlay violation).
@@ -167,16 +175,24 @@ class OverlayConstraintGraph {
   mutable GroupDsu<2> hard_;
   /// k >= 3 only: indices of alive hard must-differ edges.
   std::vector<std::uint32_t> diffEdges_;
-  /// Color per hard-class representative; vertex color = this ^ parity.
-  std::unordered_map<std::uint32_t, Color> classColor_;
+  /// Color per hard-class representative, indexed by vertex (Unassigned
+  /// by default); vertex color = this ^ parity. A root merged away by
+  /// addScenario keeps its (now unread) entry until rebuildHardClass
+  /// erases its class.
+  std::vector<Color> classColor_;
   /// Members of each hard class, keyed by representative (kept in sync by
-  /// addScenario/rebuild so pseudoColor is O(class degree), not O(V)).
+  /// addScenario/rebuildHardClass so pseudoColor is O(class degree), not
+  /// O(V)).
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> classMembers_;
   /// Optional per-vertex color priors {core, second}; Third has no prior.
   std::unordered_map<std::uint32_t, std::array<std::int64_t, 2>> priors_;
   const PatterningSpec* spec_ = nullptr;
   int k_ = 2;
   int hardViolations_ = 0;
+
+  /// Test-only access (tests/test_graph_fuzz.cpp keeps the from-scratch
+  /// rebuild there as the oracle for removeNet).
+  friend struct OcgTestAccess;
 };
 
 }  // namespace sadp

@@ -106,10 +106,13 @@ class GroupDsu {
     return ru == rv && deltaDiff(dv, du) != rel;
   }
 
-  void clear() {
-    link_.clear();
-    rank_.clear();
+  /// Makes an existing element a rank-0 singleton again. Only sound when
+  /// every element linked to v is reset too (a whole class at once).
+  void reset(std::size_t v) {
+    link_[v] = std::uint32_t(v) << kDeltaBits;
+    rank_[v] = 0;
   }
+
   std::size_t size() const { return link_.size(); }
 
  private:

@@ -82,8 +82,12 @@ class PenaltyField {
 
   void add(const GridNode& n, float delta) {
     if (!grid_->inBounds(n)) return;
-    float& v = values_[grid_->index(n)];
+    const std::size_t idx = grid_->index(n);
+    float& v = values_[idx];
     const bool wasNeg = v < 0.0f;
+    if (v == 0.0f && delta != 0.0f && touched_.size() <= fillThreshold()) {
+      touched_.push_back(std::uint32_t(idx));
+    }
     v += delta;
     negCount_ += static_cast<int>(v < 0.0f) - static_cast<int>(wasNeg);
     if (v > maxSeen_) maxSeen_ = v;
@@ -93,8 +97,16 @@ class PenaltyField {
   /// recorded reads store RoutingGrid::index values, and verification is on
   /// the replay hot path.
   float atIndex(std::size_t idx) const { return values_[idx]; }
+  /// Zeroes the field in O(touched cells): a rip-up stamps a few boxes of
+  /// a grid that can hold millions of cells. Once more than 1/8 of the
+  /// grid was touched the list stops growing and a full fill is cheaper.
   void clear() {
-    std::fill(values_.begin(), values_.end(), 0.0f);
+    if (touched_.size() > fillThreshold()) {
+      std::fill(values_.begin(), values_.end(), 0.0f);
+    } else {
+      for (const std::uint32_t idx : touched_) values_[idx] = 0.0f;
+    }
+    touched_.clear();
     negCount_ = 0;
     maxSeen_ = 0.0f;
   }
@@ -108,8 +120,12 @@ class PenaltyField {
   float maxSeen() const { return maxSeen_; }
 
  private:
+  std::size_t fillThreshold() const { return values_.size() / 8; }
+
   const RoutingGrid* grid_;
   std::vector<float> values_;
+  /// Cells add() moved off 0.0f since the last clear() (may repeat).
+  std::vector<std::uint32_t> touched_;
   std::int64_t negCount_ = 0;
   float maxSeen_ = 0.0f;
 };

@@ -1162,10 +1162,6 @@ bool OverlayAwareRouter::rerouteAway(const Net& net, const Rect& avoidTr,
   NetRouteState& st = states_[net.id];
   if (!st.routed) return false;
   const std::vector<GridNode> oldPath = st.path;
-  std::vector<Color> oldColors(grid_->layers(), Color::Unassigned);
-  for (int l = 0; l < grid_->layers(); ++l) {
-    oldColors[l] = model_.colorOf(net.id, l);
-  }
 
   // Local sign-off metric: violations inside the conflict window must
   // strictly decrease, or the old route is restored.
@@ -1200,7 +1196,6 @@ bool OverlayAwareRouter::rerouteAway(const Net& net, const Rect& avoidTr,
     tearDownNet(net);  // new route is not an improvement: roll back
   }
 
-  (void)oldColors;
   restoreNet(net, oldPath);
   return false;
 }

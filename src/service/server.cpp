@@ -500,6 +500,59 @@ void RouteServer::bumpCacheCounters() {
   cacheSeen_ = now;
 }
 
+bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
+                   std::string* err) {
+  if (const JsonValue* b = req.find("benchmark"); b && b->isString()) {
+    try {
+      *spec = paperBenchmark(b->asString());
+    } catch (const std::invalid_argument& e) {
+      *err = e.what();
+      return false;
+    }
+    if (const JsonValue* f = req.find("scale"); f && f->isNumber()) {
+      const double scale = f->asDouble();
+      if (!(scale > 0.0) || scale > 1.0) {
+        *err = "scale must be in (0, 1]";
+        return false;
+      }
+      *spec = spec->scaled(scale);
+    }
+    return true;
+  }
+  // Bounds are checked on the parser's int64, before any narrowing cast:
+  // {"nets":4294967297} must not load a 1-net design. An optional field
+  // that is present must be an in-range integer too, not be ignored.
+  auto field = [&](const char* key, std::int64_t lo, std::int64_t hi,
+                   bool required, std::int64_t* out) {
+    const JsonValue* v = req.find(key);
+    if (v == nullptr && !required) return true;
+    if (v != nullptr && v->isInt() && v->asInt() >= lo && v->asInt() <= hi) {
+      *out = v->asInt();
+      return true;
+    }
+    *err = std::string("load wants 'benchmark' or integer '") + key +
+           "' in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return false;
+  };
+  std::int64_t nets = 0, width = 0, height = 0;
+  std::int64_t layers = spec->layers, pinCandidates = spec->pinCandidates;
+  if (!field("nets", 1, kLoadMaxNets, true, &nets) ||
+      !field("width", 8, kLoadMaxEdge, true, &width) ||
+      !field("height", 8, kLoadMaxEdge, true, &height) ||
+      !field("layers", 1, kLoadMaxLayers, false, &layers) ||
+      !field("pin_candidates", 1, kLoadMaxPinCandidates, false,
+             &pinCandidates)) {
+    return false;
+  }
+  spec->netCount = int(nets);
+  spec->width = Track(width);
+  spec->height = Track(height);
+  spec->layers = int(layers);
+  spec->pinCandidates = int(pinCandidates);
+  if (const auto v = intField(req, "seed")) spec->seed = std::uint64_t(*v);
+  return true;
+}
+
 JsonValue RouteServer::handleLoad(const JsonValue& req,
                                   std::string* errCode) {
   SADP_SPAN("service.load");
@@ -511,43 +564,11 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
   const std::string& name = s->asString();
 
   BenchmarkSpec spec;
-  if (const JsonValue* b = req.find("benchmark"); b && b->isString()) {
-    try {
-      spec = paperBenchmark(b->asString());
-    } catch (const std::invalid_argument& e) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request", e.what());
-    }
-    if (const JsonValue* f = req.find("scale"); f && f->isNumber()) {
-      const double scale = f->asDouble();
-      if (!(scale > 0.0) || scale > 1.0) {
-        *errCode = "bad_request";
-        return errResp(&req, "bad_request", "scale must be in (0, 1]");
-      }
-      spec = spec.scaled(scale);
-    }
-  } else {
-    const auto nets = intField(req, "nets");
-    const auto width = intField(req, "width");
-    const auto height = intField(req, "height");
-    if (!nets || !width || !height || *nets < 1 || *width < 8 ||
-        *height < 8) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request",
-                     "load wants 'benchmark' or nets/width/height >= 1/8/8");
-    }
-    spec.name = name;
-    spec.netCount = int(*nets);
-    spec.width = Track(*width);
-    spec.height = Track(*height);
-    if (const auto v = intField(req, "layers"); v && *v >= 1 && *v <= 16) {
-      spec.layers = int(*v);
-    }
-    if (const auto v = intField(req, "seed")) spec.seed = std::uint64_t(*v);
-    if (const auto v = intField(req, "pin_candidates"); v && *v >= 1) {
-      spec.pinCandidates = int(*v);
-    }
+  if (std::string err; !parseLoadSpec(req, &spec, &err)) {
+    *errCode = "bad_request";
+    return errResp(&req, "bad_request", err);
   }
+  if (spec.name.empty()) spec.name = name;
 
   // {"cache":false} opts the session out of the shared MaskCache -- the
   // behaviour of a standalone cold route, used as the honest baseline by

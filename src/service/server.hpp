@@ -46,6 +46,22 @@ struct ServerOptions {
   std::string metricsPath;  ///< non-empty: write metrics JSON at exit
 };
 
+/// Upper bounds of an explicit-design `load` request (the paper's largest
+/// benchmark is 28000 nets on 900^2 tracks; benchmark.cpp makes at most
+/// 25 candidates per pin).
+inline constexpr std::int64_t kLoadMaxNets = 100000;
+inline constexpr std::int64_t kLoadMaxEdge = 2048;
+inline constexpr std::int64_t kLoadMaxLayers = 16;
+inline constexpr std::int64_t kLoadMaxPinCandidates = 25;
+
+/// Design spec of a `load` request: a paper `benchmark` (optionally
+/// `scale`d), or explicit nets/width/height plus optional layers, seed
+/// and pin_candidates. A missing, mistyped or out-of-range field fails
+/// with a message in *err -- it is never narrowed or ignored. The spec
+/// name is left empty for explicit designs.
+bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
+                   std::string* err);
+
 class RouteServer {
  public:
   explicit RouteServer(ServerOptions opts);

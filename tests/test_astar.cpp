@@ -105,6 +105,64 @@ TEST(AStar, PenaltyFieldDiverts) {
   }
 }
 
+/// Every cell reads exactly 0 and the summary state is back to empty.
+void expectCleared(const RoutingGrid& g, const PenaltyField& fld) {
+  int nonzero = 0;
+  for (std::int16_t l = 0; l < g.layers(); ++l) {
+    for (Track y = 0; y < g.height(); ++y) {
+      for (Track x = 0; x < g.width(); ++x) {
+        nonzero += fld.at({x, y, l}) != 0.0f;
+      }
+    }
+  }
+  EXPECT_EQ(nonzero, 0);
+  EXPECT_FALSE(fld.hasNegative());
+  EXPECT_EQ(fld.maxSeen(), 0.0f);
+}
+
+TEST(PenaltyField, SparseClearResetsTouchedCells) {
+  RoutingGrid g = makeGrid();
+  PenaltyField fld(g);
+  for (int round = 0; round < 2; ++round) {  // the field is reusable
+    for (Track x = 3; x < 9; ++x) fld.add({x, 7, 1}, 4.0f);
+    fld.add({0, 0, 0}, -2.5f);
+    fld.add({19, 19, 2}, 1.0f);
+    fld.add({25, 3, 0}, 9.0f);  // out of bounds: ignored
+    ASSERT_TRUE(fld.hasNegative());
+    ASSERT_EQ(fld.maxSeen(), 4.0f);
+    fld.clear();
+    expectCleared(g, fld);
+  }
+}
+
+TEST(PenaltyField, DenseClearFallsBackToFullFill) {
+  RoutingGrid g = makeGrid();
+  PenaltyField fld(g);
+  // Touch every cell (well past 1/8 of the grid), including negatives.
+  for (std::int16_t l = 0; l < g.layers(); ++l) {
+    for (Track y = 0; y < g.height(); ++y) {
+      for (Track x = 0; x < g.width(); ++x) {
+        fld.add({x, y, l}, (x + y) % 3 == 0 ? -1.0f : float(x + 1));
+      }
+    }
+  }
+  ASSERT_TRUE(fld.hasNegative());
+  fld.clear();
+  expectCleared(g, fld);
+}
+
+TEST(PenaltyField, CellBackAtZeroThenReAddedIsCleared) {
+  RoutingGrid g = makeGrid();
+  PenaltyField fld(g);
+  const GridNode n{4, 4, 0};
+  fld.add(n, 2.0f);
+  fld.add(n, -2.0f);
+  ASSERT_EQ(fld.at(n), 0.0f);
+  fld.add(n, 3.0f);
+  fld.clear();
+  expectCleared(g, fld);
+}
+
 TEST(AStar, T2bFieldIsDirectional) {
   RoutingGrid g = makeGrid();
   AStarEngine eng(g);

@@ -5,6 +5,7 @@
 
 #include "sadp/mask_cache.hpp"
 #include "service/json.hpp"
+#include "service/server.hpp"
 #include "service/session.hpp"
 
 namespace sadp {
@@ -57,6 +58,78 @@ TEST(Json, EscapesControlCharactersOnOutput) {
   v.set("s", std::string("a\x01"
                          "b\"\\\n"));
   EXPECT_EQ(writeJson(v), "{\"s\":\"a\\u0001b\\\"\\\\\\n\"}");
+}
+
+// ----------------------------------------------------------- Load spec --
+
+/// parseLoadSpec on one request line; *err holds the rejection message.
+bool loadSpec(const std::string& line, BenchmarkSpec* spec,
+              std::string* err) {
+  const std::optional<JsonValue> req = parseJson(line);
+  EXPECT_TRUE(req) << line;
+  return req && parseLoadSpec(*req, spec, err);
+}
+
+TEST(LoadSpec, AcceptsExplicitAndPaperDesigns) {
+  BenchmarkSpec spec;
+  std::string err;
+  // The README's ECO design, with every optional field set.
+  ASSERT_TRUE(loadSpec(R"({"op":"load","session":"d","nets":240,)"
+                       R"("width":160,"height":160,"layers":3,"seed":4,)"
+                       R"("pin_candidates":3})",
+                       &spec, &err))
+      << err;
+  EXPECT_EQ(spec.netCount, 240);
+  EXPECT_EQ(spec.width, 160);
+  EXPECT_EQ(spec.height, 160);
+  EXPECT_EQ(spec.layers, 3);
+  EXPECT_EQ(spec.seed, 4u);
+  EXPECT_EQ(spec.pinCandidates, 3);
+  EXPECT_TRUE(spec.name.empty());
+  // The upper bounds themselves are admitted.
+  spec = {};
+  ASSERT_TRUE(loadSpec(R"({"nets":100000,"width":2048,"height":2048,)"
+                       R"("layers":16,"pin_candidates":25})",
+                       &spec, &err))
+      << err;
+  EXPECT_EQ(spec.netCount, int(kLoadMaxNets));
+  EXPECT_EQ(spec.width, Track(kLoadMaxEdge));
+  // Paper benchmarks keep their own size and name.
+  spec = {};
+  ASSERT_TRUE(loadSpec(R"({"benchmark":"Test5"})", &spec, &err)) << err;
+  EXPECT_EQ(spec.name, "Test5");
+  EXPECT_EQ(spec.netCount, 28000);
+}
+
+// Out-of-range input is rejected, never narrowed: {"nets":4294967297}
+// once loaded a 1-net design and replied ok, and an out-of-range
+// "layers" silently routed on 3.
+TEST(LoadSpec, RejectsOutOfRangeInsteadOfNarrowing) {
+  const char* bad[] = {
+      R"({"nets":4294967297,"width":64,"height":64})",
+      R"({"nets":100001,"width":64,"height":64})",
+      R"({"nets":0,"width":64,"height":64})",
+      R"({"nets":10,"width":4294967360,"height":64})",
+      R"({"nets":10,"width":64,"height":2049})",
+      R"({"nets":10,"width":7,"height":64})",
+      R"({"nets":10,"width":64,"height":64,"layers":0})",
+      R"({"nets":10,"width":64,"height":64,"layers":17})",
+      R"({"nets":10,"width":64,"height":64,"layers":4294967299})",
+      R"({"nets":10,"width":64,"height":64,"layers":"3"})",
+      R"({"nets":10,"width":64,"height":64,"pin_candidates":0})",
+      R"({"nets":10,"width":64,"height":64,"pin_candidates":26})",
+      R"({"nets":10,"width":64,"height":64,"pin_candidates":1.5})",
+      R"({"nets":10.0,"width":64,"height":64})",
+      R"({"width":64,"height":64})",
+      R"({"benchmark":"Test99"})",
+      R"({"benchmark":"Test1","scale":2})",
+  };
+  for (const char* line : bad) {
+    BenchmarkSpec spec;
+    std::string err;
+    EXPECT_FALSE(loadSpec(line, &spec, &err)) << line;
+    EXPECT_FALSE(err.empty()) << line;
+  }
 }
 
 // ------------------------------------------------------------- Session --
