@@ -267,102 +267,6 @@ void BM_DecomposeLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_DecomposeLayer)->Arg(16)->Arg(64);
 
-/// Tiled-vs-untiled decomposition of a wide window (~17 words of raster
-/// columns), the regime the column-band tiling targets. tile_words < 0 is
-/// the whole-window reference path; threads > 1 shows the nested fan-out
-/// speedup on multicore hosts (byte-identical output either way).
-void BM_DecomposeLayerTiled(benchmark::State& state) {
-  constexpr Track kRows = 48;
-  std::vector<ColoredFragment> frags;
-  for (Track y = 0; y < kRows; ++y) {
-    frags.push_back({Fragment{0, Track(y * 2), 256, Track(y * 2 + 1),
-                              NetId(y)},
-                     (y % 2) ? Color::Second : Color::Core});
-  }
-  const DesignRules rules;
-  DecomposeOptions opts;
-  opts.tileWords = int(state.range(0));
-  setParallelThreads(int(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decomposeLayer(frags, rules, opts));
-  }
-  setParallelThreads(0);
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_DecomposeLayerTiled)
-    ->Args({-1, 1})
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Args({4, 4})
-    ->ArgNames({"tile_words", "threads"});
-
-/// Static vs dynamic band scheduling on a density-skewed layer: a dense
-/// block of short wires packed into the low-x words plus sparse long
-/// wires stretching the window to ~17 words, so per-band work varies by
-/// an order of magnitude and LPT + stealing can actually rebalance.
-/// schedule 0 = Static, 1 = Dynamic; both produce identical masks.
-void BM_DecomposeLayerSkewSched(benchmark::State& state) {
-  std::vector<ColoredFragment> frags;
-  NetId net = 1;
-  for (Track y = 0; y < 48; ++y) {
-    const Track x0 = Track((y * 3) % 9);
-    frags.push_back({Fragment{x0, Track(y * 2), Track(x0 + 14),
-                              Track(y * 2 + 1), net},
-                     (y % 2) ? Color::Second : Color::Core});
-    ++net;
-  }
-  for (int k = 0; k < 4; ++k) {
-    frags.push_back({Fragment{Track(40 + 50 * k), Track(8 * k + 1),
-                              Track(256), Track(8 * k + 2), net},
-                     (k % 2) ? Color::Second : Color::Core});
-    ++net;
-  }
-  const DesignRules rules;
-  DecomposeOptions opts;
-  opts.tileWords = 2;
-  opts.schedule =
-      state.range(0) ? BandSchedule::Dynamic : BandSchedule::Static;
-  setParallelThreads(int(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decomposeLayer(frags, rules, opts));
-  }
-  setParallelThreads(0);
-  state.SetItemsProcessed(state.iterations() * std::int64_t(frags.size()));
-}
-BENCHMARK(BM_DecomposeLayerSkewSched)
-    ->Args({0, 1})
-    ->Args({0, 4})
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->ArgNames({"dynamic", "threads"});
-
-// ---- Wave-parallel routing (speculative prefetch, DESIGN.md §5.12) ---------
-
-/// Full routing run at a given routeJobs. jobs=1 is the untouched serial
-/// loop; jobs>1 adds wave planning plus speculative attempt-0 searches
-/// ahead of the commit frontier (output byte-identical by construction,
-/// held by tests/test_route_parallel_fuzz.cpp). The instance is rebuilt
-/// outside the timed region each iteration -- run() consumes the grid.
-void BM_RouteWaves(benchmark::State& state) {
-  const int jobs = int(state.range(0));
-  const BenchmarkSpec spec = paperBenchmark("Test2").scaled(0.15);
-  setParallelThreads(jobs);
-  for (auto _ : state) {
-    state.PauseTiming();
-    BenchmarkInstance inst = makeBenchmark(spec);
-    RunContext ctx;
-    ctx.setThreadCount(jobs);
-    RouterOptions ro;
-    ro.routeJobs = jobs;
-    state.ResumeTiming();
-    OverlayAwareRouter router(inst.grid, inst.netlist, ro, &ctx);
-    benchmark::DoNotOptimize(router.run());
-  }
-  setParallelThreads(0);
-}
-BENCHMARK(BM_RouteWaves)->Arg(1)->Arg(4)->ArgName("jobs")
-    ->Unit(benchmark::kMillisecond);
-
 // ---- Negotiated-congestion routing (PathFinder pre-phase, §5.14) -----------
 
 /// Timing-driven run with the PathFinder negotiation pre-phase enabled:

@@ -93,19 +93,4 @@ std::vector<std::size_t> RoutingGrid::overflowedCells() const {
   return out;
 }
 
-std::int64_t RoutingGrid::occupiedInBox(const Rect& trBox) const {
-  const Track xlo = std::max<Track>(Track(trBox.xlo), 0);
-  const Track xhi = std::min<Track>(Track(trBox.xhi), width_);
-  const Track ylo = std::max<Track>(Track(trBox.ylo), 0);
-  const Track yhi = std::min<Track>(Track(trBox.yhi), height_);
-  std::int64_t n = 0;
-  for (int l = 0; l < layers_; ++l) {
-    for (Track y = ylo; y < yhi; ++y) {
-      const NetId* row = &occ_[(std::size_t(l) * height_ + y) * width_];
-      for (Track x = xlo; x < xhi; ++x) n += row[x] != kInvalidNet;
-    }
-  }
-  return n;
-}
-
 }  // namespace sadp

@@ -32,6 +32,16 @@ struct BenchmarkSpec {
   BenchmarkSpec scaled(double f) const;
 };
 
+/// Bounds of an explicitly sized design, shared by the service's `load`
+/// request and the CLI's --width/--height/--layers/--seed-demo (the
+/// paper's largest benchmark is 28000 nets on 900^2 tracks;
+/// makeBenchmark makes at most 25 candidates per pin).
+inline constexpr std::int64_t kLoadMaxNets = 100000;
+inline constexpr std::int64_t kLoadMinEdge = 8;
+inline constexpr std::int64_t kLoadMaxEdge = 2048;
+inline constexpr std::int64_t kLoadMaxLayers = 16;
+inline constexpr std::int64_t kLoadMaxPinCandidates = 25;
+
 /// The ten published circuits. Index 0..4 = Test1..Test5 (fixed pins,
 /// Table III); 5..9 = Test6..Test10 (multi-candidate pins, Table IV).
 std::vector<BenchmarkSpec> paperBenchmarks();

@@ -48,10 +48,8 @@ struct AStarParams {
 
 struct SearchFootprint;  // route/route_memo.hpp: recorded read set
 
-/// Registry names of the engine's per-route() metrics. Shared with the
-/// wave-parallel router, which replays a verified speculative search's
-/// exact counter deltas into the committing context so counter snapshots
-/// stay byte-identical to a live serial search (route/router.cpp).
+/// Registry names of the engine's per-route() metrics, for readers of a
+/// run's metrics registry.
 namespace astar_metric {
 inline constexpr const char* kRoutes = "astar.routes";
 inline constexpr const char* kExpansions = "astar.expansions";

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 
 #include "ocg/scenario.hpp"
 #include "patterning/backend.hpp"
-#include "route/waves.hpp"
 #include "run/run_context.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -23,20 +21,6 @@ std::vector<const Pin*> netPins(const Net& n) {
   return pins;
 }
 
-/// Track-space extent of a net's pin candidates — the wave planner's
-/// spatial proxy for where its route may land. Routes can wander beyond
-/// it, which is fine: wave disjointness is a scheduling hint, commit-time
-/// footprint verification is the correctness mechanism.
-Rect netPinBox(const Net& n) {
-  Rect box;
-  for (const Pin* pin : netPins(n)) {
-    for (const GridNode& c : pin->candidates) {
-      box = box.unionWith(Rect{c.x, c.y, c.x + 1, c.y + 1});
-    }
-  }
-  return box;
-}
-
 /// Backend resolution for a null RouterOptions::backend: the context's
 /// configured name (unknown names fall through -- callers validate at the
 /// CLI/service boundary), else the classic SADP backend.
@@ -51,75 +35,6 @@ const PatterningBackend* resolveBackend(const RouterOptions& opts,
 }
 
 }  // namespace
-
-/// One speculative worker: a private RunContext (so speculative metrics,
-/// spans and arena traffic never touch the router's context) plus an
-/// engine bound to it. Slots are checked out per speculative search; the
-/// engine's scratch arena is not thread-safe, so a slot serves one search
-/// at a time.
-struct SpecSlot {
-  RunContext ctx;
-  AStarEngine engine;
-  Counter* routes;
-  Counter* expansions;
-  Counter* pushes;
-
-  explicit SpecSlot(const RoutingGrid& grid) : engine(grid, &ctx) {
-    MetricsRegistry& m = ctx.metrics();
-    routes = &m.counter(astar_metric::kRoutes);
-    expansions = &m.counter(astar_metric::kExpansions);
-    pushes = &m.counter(astar_metric::kHeapPushes);
-  }
-};
-
-/// One net's speculative attempt-0 search: the would-be memo entry (key
-/// as of speculation time, recorded footprint, result) plus the exact
-/// counter deltas the search flushed into its slot's private registry.
-/// On a verified commit the deltas are replayed into ctx_, making the
-/// counter snapshot indistinguishable from a live serial search.
-struct OverlayAwareRouter::SpecEntry {
-  SearchMemoEntry entry;
-  std::int64_t routes = 0;
-  std::int64_t expansions = 0;
-  std::int64_t pushes = 0;
-  bool pending = false;  ///< speculated and not yet consumed by a commit
-};
-
-struct OverlayAwareRouter::WaveState {
-  RunContext fanOutCtx;  ///< hosts the speculation parallelForWeighted
-  std::vector<std::unique_ptr<SpecSlot>> slots;
-  std::vector<int> freeSlots;  ///< guarded by slotMutex
-  std::mutex slotMutex;
-  std::vector<int> waveOf;      ///< wave id by commit-order position
-  std::vector<char> planned;    ///< by position: speculation batch issued
-  std::vector<SpecEntry> specByNet;  ///< by NetId
-  int jobs = 1;
-
-  SpecSlot* acquireSlot(const RoutingGrid& grid) {
-    std::lock_guard<std::mutex> lock(slotMutex);
-    if (freeSlots.empty()) {
-      // Concurrency is bounded by fanOutCtx's width <= jobs == slot
-      // count, so this only triggers if the scheduler ever grows; a
-      // fresh slot keeps it correct regardless.
-      slots.push_back(std::make_unique<SpecSlot>(grid));
-      return slots.back().get();
-    }
-    SpecSlot* s = slots[std::size_t(freeSlots.back())].get();
-    freeSlots.pop_back();
-    return s;
-  }
-  void releaseSlot(SpecSlot* s) {
-    std::lock_guard<std::mutex> lock(slotMutex);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].get() == s) {
-        freeSlots.push_back(int(i));
-        return;
-      }
-    }
-  }
-};
-
-OverlayAwareRouter::~OverlayAwareRouter() = default;
 
 OverlayAwareRouter::OverlayAwareRouter(RoutingGrid& grid,
                                        const Netlist& netlist,
@@ -151,11 +66,6 @@ OverlayAwareRouter::OverlayAwareRouter(RoutingGrid& grid,
   counters_.verifySkips = &m.counter("router.verify_skips");
   counters_.negotiateIters = &m.counter("router.negotiate_iter");
   counters_.negotiateOverflow = &m.histogram("router.negotiate_overflow");
-  counters_.astarRoutes = &m.counter(astar_metric::kRoutes);
-  counters_.astarExpansions = &m.counter(astar_metric::kExpansions);
-  counters_.astarHeapPushes = &m.counter(astar_metric::kHeapPushes);
-  counters_.astarExpansionsPerRoute =
-      &m.histogram(astar_metric::kExpansionsPerRoute);
   // Reserve every pin candidate so later nets cannot run over them.
   for (const Net& n : netlist.nets) {
     for (const Pin* pin : netPins(n)) {
@@ -204,22 +114,15 @@ void OverlayAwareRouter::noteDiverged(NetId net) {
   }
 }
 
-namespace {
-/// One penalty-field mutation folded into a history hash. Shared by the
-/// live addRipUpPenalty path and the precomputation of negBaseHash_ (the
-/// hash resetRipUpFieldToBase deterministically replays to).
-void mixPenaltyEvent(std::uint64_t& h, const GridNode& n, float delta) {
-  auto mix = [&](std::uint64_t v) {
+void OverlayAwareRouter::addRipUpPenalty(const GridNode& n, float delta) {
+  // Every mutation folds into the history hash the memo key carries.
+  auto mix = [this](std::uint64_t v) {
+    std::uint64_t& h = ripUpHistoryHash_;
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
   mix((std::uint64_t(std::uint32_t(n.x)) << 32) | std::uint32_t(n.y));
   mix((std::uint64_t(std::uint16_t(n.layer)) << 32) |
       std::bit_cast<std::uint32_t>(delta));
-}
-}  // namespace
-
-void OverlayAwareRouter::addRipUpPenalty(const GridNode& n, float delta) {
-  mixPenaltyEvent(ripUpHistoryHash_, n, delta);
   ripUpField_.add(n, delta);
 }
 
@@ -391,56 +294,12 @@ SearchMemoKey OverlayAwareRouter::makeSearchKey(
   return key;
 }
 
-std::optional<AStarResult> OverlayAwareRouter::searchOrSpec(
-    NetId net, std::span<const GridNode> sources,
-    std::span<const GridNode> targets, const AStarParams& params,
-    const PenaltyField* extra, const T2bField* t2b,
-    SearchFootprint* fpOut) {
-  if (waves_ != nullptr && net >= 0 &&
-      std::size_t(net) < waves_->specByNet.size() &&
-      waves_->specByNet[std::size_t(net)].pending) {
-    SpecEntry& spec = waves_->specByNet[std::size_t(net)];
-    spec.pending = false;
-    // A speculative result substitutes for the live search only if the
-    // search would replay identically right now: same key (endpoints,
-    // params, field summaries -- mode selection included) and every
-    // recorded read unchanged. Same soundness argument as the ECO memo
-    // (route/route_memo.hpp); commits between speculation and this point
-    // invalidate through the footprint walk, never silently.
-    if (!spec.entry.footprint.overflow &&
-        spec.entry.key ==
-            makeSearchKey(sources, targets, params, extra, t2b) &&
-        footprintMatches(spec.entry.footprint, net, extra, t2b)) {
-      ++waveSpecHits_;
-      // Replay the exact counter deltas the speculative search flushed
-      // into its private registry: a verified footprint means the live
-      // search would have executed identically, so ctx_'s snapshot stays
-      // byte-identical to serial routing. The histogram saw exactly one
-      // sample (one route() flush) whose value is the expansions delta.
-      counters_.astarRoutes->add(spec.routes);
-      counters_.astarExpansions->add(spec.expansions);
-      counters_.astarHeapPushes->add(spec.pushes);
-      if (spec.routes > 0) {
-        counters_.astarExpansionsPerRoute->add(spec.expansions);
-      }
-      if (fpOut != nullptr) *fpOut = std::move(spec.entry.footprint);
-      return std::move(spec.entry.result);
-    }
-    ++waveSpecMisses_;
-  }
-  if (fpOut != nullptr) engine_.setFootprintRecorder(fpOut);
-  std::optional<AStarResult> res =
-      engine_.route(net, sources, targets, params, extra, t2b);
-  if (fpOut != nullptr) engine_.setFootprintRecorder(nullptr);
-  return res;
-}
-
 std::optional<AStarResult> OverlayAwareRouter::memoSearch(
     NetId net, std::span<const GridNode> sources,
     std::span<const GridNode> targets, const AStarParams& params,
     const PenaltyField* extra, const T2bField* t2b) {
   if (opts_.memo == nullptr) {
-    return searchOrSpec(net, sources, targets, params, extra, t2b, nullptr);
+    return engine_.route(net, sources, targets, params, extra, t2b);
   }
   SearchMemoKey key = makeSearchKey(sources, targets, params, extra, t2b);
   SearchMemoEntry* prev = opts_.memo->next(net);
@@ -468,8 +327,10 @@ std::optional<AStarResult> OverlayAwareRouter::memoSearch(
   noteDiverged(net);
   SearchMemoEntry entry;
   entry.key = std::move(key);
-  std::optional<AStarResult> res = searchOrSpec(net, sources, targets, params,
-                                                extra, t2b, &entry.footprint);
+  engine_.setFootprintRecorder(&entry.footprint);
+  std::optional<AStarResult> res =
+      engine_.route(net, sources, targets, params, extra, t2b);
+  engine_.setFootprintRecorder(nullptr);
   if (res) noteChanged(pathBounds(res->path));
   entry.result = res;
   opts_.memo->commit(net, std::move(entry));
@@ -559,8 +420,8 @@ int OverlayAwareRouter::resolveCutConflicts(const Net& net) {
 bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
   NetRouteState& st = states_[net.id];
   // Negotiation history persists as this net's base penalty field: the
-  // replay lands ripUpHistoryHash_ exactly on negBaseHash_, so memo and
-  // speculation keys are stable run over run.
+  // replay lands ripUpHistoryHash_ on the same value every time, so memo
+  // keys are stable run over run.
   const bool hasNegBase = !negBaseCells_.empty();
   if (freshPenaltyField) {
     if (hasNegBase) {
@@ -687,102 +548,6 @@ bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
   return false;
 }
 
-void OverlayAwareRouter::prepareWaves(std::span<const Net* const> order) {
-  SADP_SPAN("router.wave_plan");
-  // Hard cap on private engines: each slot carries nodeCount-sized state
-  // arrays, and speculation beyond the machine width is pure waste.
-  const int jobs = std::min(opts_.routeJobs, 64);
-  waves_ = std::make_unique<WaveState>();
-  waves_->jobs = jobs;
-  // The speculation fan-out draws from this run's configured worker
-  // budget, not a fresh env default; the global pool still bounds actual
-  // workers, so a 1-CPU host runs every batch inline -- same results.
-  waves_->fanOutCtx.setThreadCount(ctx_->fanOutWidth(jobs));
-  waves_->planned.assign(order.size(), 0);
-  waves_->specByNet.resize(netlist_->size());
-  std::vector<Rect> boxes;
-  boxes.reserve(order.size());
-  for (const Net* n : order) boxes.push_back(netPinBox(*n));
-  waves_->waveOf =
-      planWaves(boxes, independenceRadiusTracks(grid_->rules())).waveOf;
-  waves_->slots.reserve(std::size_t(jobs));
-  for (int i = 0; i < jobs; ++i) {
-    waves_->slots.push_back(std::make_unique<SpecSlot>(*grid_));
-    waves_->freeSlots.push_back(i);
-  }
-}
-
-void OverlayAwareRouter::speculateFrontier(std::span<const Net* const> order,
-                                           std::size_t pos) {
-  WaveState& w = *waves_;
-  if (w.planned[pos] != 0) return;
-  // Batch: every unplanned member of this net's wave within a short
-  // look-ahead horizon. Wave members beyond it get a fresh batch when the
-  // frontier reaches them -- state drift between speculation and commit
-  // is what verification pays for, so speculate close to the frontier.
-  const int wave = w.waveOf[pos];
-  const std::size_t horizon =
-      pos + std::max<std::size_t>(4 * std::size_t(w.jobs), 16);
-  std::vector<int> batch;
-  for (std::size_t i = pos; i < order.size() && i < horizon; ++i) {
-    if (w.waveOf[i] == wave && w.planned[i] == 0) batch.push_back(int(i));
-  }
-  for (const int i : batch) w.planned[std::size_t(i)] = 1;
-  if (batch.size() < 2) return;  // nothing to overlap: route live
-  SADP_SPAN_ARG("router.wave_speculate", std::int64_t(batch.size()));
-  // Cost hints: bbox area plus an occupancy term, so the LPT seeding of
-  // parallelForWeighted starts the big congested searches first.
-  std::vector<std::int64_t> weights(batch.size());
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const Rect box = netPinBox(*order[std::size_t(batch[k])]);
-    weights[k] =
-        std::max<std::int64_t>(box.area(), 1) + 2 * grid_->occupiedInBox(box);
-  }
-  const T2bField* t2b = opts_.enableT2bAvoidance ? &t2bField_ : nullptr;
-  // Negotiation mode: attempt-0 searches read the frozen history base
-  // (negBase_, content-equal to the ripUpField_ that routeNet replays at
-  // commit time), so the speculative key/footprint verify against the
-  // replayed field. negBase_ is immutable during the fan-out: read-only
-  // sharing across slots is race-free.
-  const PenaltyField* specExtra = negBase_.get();
-  // Strict phase alternation: this fan-out only READS router state (grid
-  // occupancy, T2b field, netlist) and writes disjoint SpecEntry slots;
-  // it joins before any commit mutates state again, so the speculative
-  // searches are race-free by construction (TSan-checked by
-  // tests/test_route_parallel_fuzz.cpp).
-  parallelForWeighted(w.fanOutCtx, int(batch.size()), weights, [&](int k) {
-    const Net& net = *order[std::size_t(batch[std::size_t(k)])];
-    SpecSlot* slot = w.acquireSlot(*grid_);
-    SpecEntry& spec = w.specByNet[std::size_t(net.id)];
-    const AStarParams params = netParams(net.id);
-    // Attempt-0 key: no penalty field (routeNet passes it only after a
-    // rip-up, which also invalidates by key) unless a negotiation base is
-    // live, T2b as configured. Key fields snapshot speculation-time
-    // state; commit-time key equality catches any interim drift of the
-    // field summaries.
-    spec.entry.key = makeSearchKey(net.source.candidates,
-                                   net.target.candidates, params, specExtra,
-                                   t2b);
-    // makeSearchKey stamps the live ripUpHistoryHash_, which mid-loop
-    // reflects whatever net committed last; attempt 0 always starts from
-    // the replayed base, whose hash is precomputed.
-    if (specExtra != nullptr) spec.entry.key.penaltyHistory = negBaseHash_;
-    const std::int64_t r0 = slot->routes->value();
-    const std::int64_t e0 = slot->expansions->value();
-    const std::int64_t p0 = slot->pushes->value();
-    slot->engine.setFootprintRecorder(&spec.entry.footprint);
-    spec.entry.result =
-        slot->engine.route(net.id, net.source.candidates,
-                           net.target.candidates, params, specExtra, t2b);
-    slot->engine.setFootprintRecorder(nullptr);
-    spec.routes = slot->routes->value() - r0;
-    spec.expansions = slot->expansions->value() - e0;
-    spec.pushes = slot->pushes->value() - p0;
-    spec.pending = true;
-    w.releaseSlot(slot);
-  });
-}
-
 void OverlayAwareRouter::computeCriticality() {
   crit64_.assign(netlist_->size(), 0);
   timingEdges_.clear();
@@ -830,7 +595,7 @@ void OverlayAwareRouter::computeRoutedSlack() {
 std::vector<GridNode> OverlayAwareRouter::negotiationSearch(
     const Net& net, PenaltyField& negField) {
   // Pure search against present + history costs: no memo, no
-  // speculation, no footprint. The negotiation phase re-executes from
+  // footprint. The negotiation phase re-executes from
   // scratch on every run (including ECO replay), so determinism needs
   // only a fixed net order and a deterministic A* -- both held.
   std::vector<GridNode> cells;
@@ -925,8 +690,6 @@ void OverlayAwareRouter::negotiationPhase(
   // durable contention, present cost was only ever a tie-breaker between
   // live alternatives that the real rip-up loop re-discovers itself.
   negBaseCells_.clear();
-  negBase_.reset();
-  negBaseHash_ = 0;
   for (std::size_t idx = 0; idx < grid_->nodeCount(); ++idx) {
     const float h = grid_->historyAtIndex(idx);
     if (h == 0.0f) continue;
@@ -940,13 +703,6 @@ void OverlayAwareRouter::negotiationPhase(
          h});
   }
   grid_->clearCongestion();
-  if (!negBaseCells_.empty()) {
-    negBase_ = std::make_unique<PenaltyField>(*grid_);
-    for (const auto& [node, v] : negBaseCells_) {
-      negBase_->add(node, v);
-      mixPenaltyEvent(negBaseHash_, node, v);
-    }
-  }
 }
 
 RoutingStats OverlayAwareRouter::run() {
@@ -982,14 +738,8 @@ RoutingStats OverlayAwareRouter::run() {
                      });
   }
   if (opts_.negotiate) negotiationPhase(order);
-  // Wave-parallel mode: commit order below stays EXACTLY this serial
-  // order; waves only drive speculative attempt-0 searches ahead of the
-  // frontier, consumed (after verification) inside searchOrSpec.
-  const bool useWaves = opts_.routeJobs > 1 && order.size() > 1;
-  if (useWaves) prepareWaves(order);
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const Net& net = *order[pos];
-    if (useWaves) speculateFrontier(order, pos);
+  for (const Net* n : order) {
+    const Net& net = *n;
     SADP_SPAN_ARG("router.net", net.id);
     if (routeNet(net)) {
       counters_.netsRouted->add(1);
@@ -1001,8 +751,6 @@ RoutingStats OverlayAwareRouter::run() {
       releasePath(net);
     }
   }
-  // Speculation is main-loop-only; repair searches always run live.
-  waves_.reset();
   if (opts_.enableColorFlip && opts_.finalGlobalFlip) {
     SADP_SPAN("router.final_flip");
     counters_.flips->add(backend_->recolorAll(model_).componentsImproved);

@@ -75,25 +75,11 @@ int RunContext::reserveExtraWorkers(int want) {
   return grant;
 }
 
-int RunContext::fanOutWidth(int want) const {
-  return std::max(1, std::min(want, threadCount()));
-}
-
 void RunContext::releaseExtraWorkers(int n) {
   if (n <= 0) return;
   std::lock_guard<std::mutex> lock(poolMutex());
   extraInFlight_.fetch_sub(n, std::memory_order_relaxed);
   g_globalExtra.fetch_sub(n, std::memory_order_relaxed);
-}
-
-CostHints RunContext::costHints() const {
-  return {hintNsPerWord_.load(std::memory_order_relaxed),
-          hintNsPerSetPx_.load(std::memory_order_relaxed)};
-}
-
-void RunContext::setCostHints(const CostHints& h) {
-  hintNsPerWord_.store(h.nsPerWord, std::memory_order_relaxed);
-  hintNsPerSetPx_.store(h.nsPerSetPx, std::memory_order_relaxed);
 }
 
 void RunContext::resetForRun() {

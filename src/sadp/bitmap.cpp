@@ -18,20 +18,6 @@ std::size_t Bitmap::count() const {
   return n;
 }
 
-std::vector<std::int64_t> Bitmap::wordColumnPopcountPrefix() const {
-  std::vector<std::int64_t> pre(std::size_t(wpr_) + 1, 0);
-  for (int y = 0; y < h_; ++y) {
-    const std::uint64_t* row = words_.data() + std::size_t(y) * wpr_;
-    for (int j = 0; j < wpr_; ++j) {
-      pre[std::size_t(j) + 1] += std::popcount(row[j]);
-    }
-  }
-  for (int j = 0; j < wpr_; ++j) {
-    pre[std::size_t(j) + 1] += pre[std::size_t(j)];
-  }
-  return pre;
-}
-
 void Bitmap::fillRect(int xlo, int ylo, int xhi, int yhi, bool v) {
   xlo = std::max(xlo, 0);
   ylo = std::max(ylo, 0);
@@ -367,47 +353,6 @@ Bitmap Bitmap::transposed() const {
     }
   }
   return out;
-}
-
-Bitmap Bitmap::extractWordColumns(int word0, int nWords) const {
-  if (word0 < 0 || nWords <= 0 || word0 >= wpr_) {
-    throw std::out_of_range("Bitmap::extractWordColumns: bad band");
-  }
-  nWords = std::min(nWords, wpr_ - word0);
-  // The band's last word is the raster's padded tail word exactly when the
-  // band reaches it, so the band width is clipped by the raster width.
-  const int width = std::min(w_ - (word0 << 6), nWords << 6);
-  Bitmap out(width, h_);
-  for (int y = 0; y < h_; ++y) {
-    const std::uint64_t* src = words_.data() + std::size_t(y) * wpr_ + word0;
-    std::copy(src, src + nWords,
-              out.words_.data() + std::size_t(y) * out.wpr_);
-  }
-  return out;
-}
-
-void Bitmap::blitWordColumns(const Bitmap& src, int srcWord0, int dstWord0,
-                             int nWords) {
-  if (src.h_ != h_) {
-    throw std::invalid_argument("Bitmap::blitWordColumns: height mismatch");
-  }
-  if (srcWord0 < 0 || dstWord0 < 0 || nWords <= 0 ||
-      srcWord0 + nWords > src.wpr_ || dstWord0 + nWords > wpr_) {
-    throw std::out_of_range("Bitmap::blitWordColumns: bad band");
-  }
-  // Within the copied band, src's padded tail word (zero past src.width())
-  // already reads as unset; masking the write into OUR padded tail word is
-  // what preserves the destination's zero-tail invariant when the band
-  // covers it.
-  const std::uint64_t tail = tailMask();
-  for (int y = 0; y < h_; ++y) {
-    const std::uint64_t* in =
-        src.words_.data() + std::size_t(y) * src.wpr_ + srcWord0;
-    std::uint64_t* out = words_.data() + std::size_t(y) * wpr_ + dstWord0;
-    for (int j = 0; j < nWords; ++j) {
-      out[j] = (dstWord0 + j == wpr_ - 1) ? (in[j] & tail) : in[j];
-    }
-  }
 }
 
 bool anyNear(const Bitmap& b, int x, int y, int r) {

@@ -89,33 +89,6 @@ class Bitmap {
   /// (DESIGN.md §5.6). Border pixels behave as unset.
   Bitmap openedAnchored(int k) const;
 
-  /// The column band [64*word0, 64*(word0+nWords)) as a standalone bitmap
-  /// (full height), clipped to width(): pure word copies, no bit shifts.
-  /// When the band reaches this raster's padded last word, the result
-  /// inherits the same partial width, so its zero-tail invariant carries
-  /// over unchanged. Throws std::out_of_range on an empty or out-of-range
-  /// band. Together with blitWordColumns this is the word-aligned
-  /// crop/stitch pair of the tiled decomposition (DESIGN.md §5.6).
-  Bitmap extractWordColumns(int word0, int nWords) const;
-
-  /// Overwrites `nWords` whole word-columns of this raster, starting at
-  /// word column `dstWord0`, with the word-columns of `src` starting at
-  /// `srcWord0`. Heights must match and both ranges must be in bounds.
-  /// Source bits beyond src.width() read as unset, and writes into this
-  /// raster's padded last word are masked, so the zero-tail invariant is
-  /// preserved on both sides.
-  void blitWordColumns(const Bitmap& src, int srcWord0, int dstWord0,
-                       int nWords);
-
-  /// Population-count prefix scan over word columns: result[i] = number
-  /// of set pixels in word columns [0, i), i.e. pixels with x < 64*i
-  /// (length wordsPerRow(width()) + 1, result.front() == 0,
-  /// result.back() == count()). The zero-tail invariant makes the last
-  /// column exact with no masking. A band's population is
-  /// result[hi] - result[lo] -- the dynamic band scheduler's cost signal
-  /// (DESIGN.md §5.6).
-  std::vector<std::int64_t> wordColumnPopcountPrefix() const;
-
   /// Packed rows, wordsPerRow(width()) words per row, LSB = lowest x.
   const std::vector<std::uint64_t>& words() const { return words_; }
   static int wordsPerRow(int width) { return (width + 63) >> 6; }
@@ -155,8 +128,8 @@ bool anyNear(const Bitmap& b, int x, int y, int r);
 
 /// Order-sensitive 64-bit FNV-1a over dimensions and packed words. Two
 /// bitmaps compare equal iff their fingerprints match (up to hash
-/// collisions); used by the golden regression fixtures and the debug-build
-/// tiled-vs-whole-window stitching asserts.
+/// collisions); used by the golden regression fixtures and
+/// maskFingerprint.
 std::uint64_t fingerprint(const Bitmap& b);
 
 /// Replaces `runs` with the [x0,x1) spans of set pixels in row y.

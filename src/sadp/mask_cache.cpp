@@ -58,8 +58,8 @@ MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
   d.absorb(rules.dCut);
   d.absorb(rules.dCore);
   d.absorb(rules.dOverlap);
-  // Output-affecting options only. tileWords / schedule / costHints / ctx
-  // are byte-identity-neutral (see header) and deliberately excluded.
+  // Output-affecting options only. ctx and cache are byte-identity-neutral
+  // (see header) and deliberately excluded.
   d.absorb(opts.insertAssists);
   d.absorb(opts.mergeCores);
   d.absorb(opts.trimAssists);

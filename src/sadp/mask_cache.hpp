@@ -2,10 +2,10 @@
 // (DESIGN.md §5.11).
 //
 // The decomposition is a pure function of (fragment sequence, design
-// rules, the output-affecting options). Tiling width, band schedule, cost
-// hints and the bound RunContext are byte-identity-neutral by the repo's
-// fuzz-enforced determinism contract, so they are deliberately EXCLUDED
-// from the key: a request tiled differently still hits. Keys are 128-bit
+// rules, the output-affecting options). The bound RunContext (thread
+// count, metrics sink) is byte-identity-neutral by the repo's determinism
+// contract, so it is deliberately EXCLUDED from the key: a request run
+// under another context still hits. Keys are 128-bit
 // content digests; collisions are assumed negligible and the honesty test
 // (tests/test_mask_cache.cpp) pins the contract that a key hit returns a
 // byte-identical plane.

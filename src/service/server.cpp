@@ -117,8 +117,6 @@ void addOutcome(JsonValue& r, const RouteOutcome& o) {
   r.set("searches", o.searches);
   r.set("memo_hits", o.memoHits);
   r.set("verify_skips", o.verifySkips);
-  r.set("wave_spec_hits", o.waveSpecHits);
-  r.set("wave_spec_misses", o.waveSpecMisses);
   r.set("cache_hits", o.cacheHits);
   r.set("cache_misses", o.cacheMisses);
   r.set("nets_dirty", o.netsDirty);
@@ -537,8 +535,8 @@ bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
   std::int64_t nets = 0, width = 0, height = 0;
   std::int64_t layers = spec->layers, pinCandidates = spec->pinCandidates;
   if (!field("nets", 1, kLoadMaxNets, true, &nets) ||
-      !field("width", 8, kLoadMaxEdge, true, &width) ||
-      !field("height", 8, kLoadMaxEdge, true, &height) ||
+      !field("width", kLoadMinEdge, kLoadMaxEdge, true, &width) ||
+      !field("height", kLoadMinEdge, kLoadMaxEdge, true, &height) ||
       !field("layers", 1, kLoadMaxLayers, false, &layers) ||
       !field("pin_candidates", 1, kLoadMaxPinCandidates, false,
              &pinCandidates)) {
@@ -551,6 +549,69 @@ bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
   spec->pinCandidates = int(pinCandidates);
   if (const auto v = intField(req, "seed")) spec->seed = std::uint64_t(*v);
   return true;
+}
+
+bool parseLoadOptions(const JsonValue& req, RouterOptions* ro, int* threads,
+                      std::string* err) {
+  // {"backend":"tpl3"} selects the session's patterning backend; absent
+  // means sadp2 (byte-identical to the pre-backend service).
+  if (const JsonValue* b = req.find("backend"); b != nullptr) {
+    ro->backend = b->isString() ? findPatterningBackend(b->asString())
+                                : nullptr;
+    if (ro->backend == nullptr) {
+      *err = std::string("unknown backend (expected one of: ") +
+             patterningBackendNames() + ")";
+      return false;
+    }
+  }
+  // {"timing":true} / {"negotiate":true} opt the session into the
+  // timing-driven / negotiated-congestion modes (negotiate implies timing,
+  // mirroring the CLI). Knobs reject anything but their exact JSON type
+  // and range -- a typo'd load must not silently route with default knobs.
+  auto boolField = [&](const char* key, bool* out) {
+    const JsonValue* v = req.find(key);
+    if (v == nullptr) return true;
+    if (v->isBool()) {
+      *out = v->asBool();
+      return true;
+    }
+    *err = std::string(key) + " must be a boolean";
+    return false;
+  };
+  bool negotiate = false;
+  if (!boolField("timing", &ro->timingDriven) ||
+      !boolField("negotiate", &negotiate)) {
+    return false;
+  }
+  if (negotiate) {
+    ro->negotiate = true;
+    ro->timingDriven = true;
+  }
+  // Integer knobs are range-checked on the parser's int64 before the
+  // narrowing cast, like parseLoadSpec's fields: 4294967297 is not 1.
+  auto intIn = [&](const char* key, std::int64_t hi, int* out) {
+    const JsonValue* v = req.find(key);
+    if (v == nullptr) return true;
+    if (v->isInt() && v->asInt() >= 1 && v->asInt() <= hi) {
+      *out = int(v->asInt());
+      return true;
+    }
+    *err = std::string(key) + " must be an integer in [1, " +
+           std::to_string(hi) + "]";
+    return false;
+  };
+  if (!intIn("negotiate_iters", kLoadMaxNegotiateIters,
+             &ro->maxNegotiateIters)) {
+    return false;
+  }
+  if (const JsonValue* v = req.find("history_cost"); v != nullptr) {
+    if (!v->isNumber() || !(v->asDouble() >= 0.0)) {
+      *err = "history_cost must be a number >= 0";
+      return false;
+    }
+    ro->historyIncrement = float(v->asDouble());
+  }
+  return intIn("threads", kLoadMaxThreads, threads);
 }
 
 JsonValue RouteServer::handleLoad(const JsonValue& req,
@@ -578,72 +639,14 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       c != nullptr && c->isBool() && !c->asBool()) {
     cache = nullptr;
   }
-  // {"route_jobs":N} opts the session into wave-parallel routing (both
-  // the initial full route and every ECO replay take the same wave path);
-  // results are byte-identical to the serial default by construction.
   RouterOptions routerOpts;
-  if (const auto v = intField(req, "route_jobs"); v) {
-    if (*v < 1) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request", "route_jobs must be >= 1");
-    }
-    routerOpts.routeJobs = int(*v);
-  }
-  // {"backend":"tpl3"} selects the session's patterning backend; absent
-  // means sadp2 (byte-identical to the pre-backend service).
-  if (const JsonValue* b = req.find("backend"); b != nullptr) {
-    const PatterningBackend* backend =
-        b->isString() ? findPatterningBackend(b->asString()) : nullptr;
-    if (backend == nullptr) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request",
-                     std::string("unknown backend (expected one of: ") +
-                         patterningBackendNames() + ")");
-    }
-    routerOpts.backend = backend;
-  }
-  // {"timing":true} / {"negotiate":true} opt the session into the
-  // timing-driven / negotiated-congestion modes (negotiate implies timing,
-  // mirroring the CLI). Numeric knobs reject anything but their exact
-  // JSON type and range -- a typo'd load must not silently route with
-  // default knobs.
-  if (const JsonValue* v = req.find("timing"); v != nullptr) {
-    if (!v->isBool()) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request", "timing must be a boolean");
-    }
-    routerOpts.timingDriven = v->asBool();
-  }
-  if (const JsonValue* v = req.find("negotiate"); v != nullptr) {
-    if (!v->isBool()) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request", "negotiate must be a boolean");
-    }
-    if (v->asBool()) {
-      routerOpts.negotiate = true;
-      routerOpts.timingDriven = true;
-    }
-  }
-  if (const JsonValue* v = req.find("negotiate_iters"); v != nullptr) {
-    if (!v->isInt() || v->asInt() < 1) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request",
-                     "negotiate_iters must be an integer >= 1");
-    }
-    routerOpts.maxNegotiateIters = int(v->asInt());
-  }
-  if (const JsonValue* v = req.find("history_cost"); v != nullptr) {
-    if (!v->isNumber() || !(v->asDouble() >= 0.0)) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request",
-                     "history_cost must be a number >= 0");
-    }
-    routerOpts.historyIncrement = float(v->asDouble());
+  int threads = 0;
+  if (std::string err; !parseLoadOptions(req, &routerOpts, &threads, &err)) {
+    *errCode = "bad_request";
+    return errResp(&req, "bad_request", err);
   }
   auto session = std::make_shared<Session>(name, spec, cache, routerOpts);
-  if (const auto v = intField(req, "threads"); v && *v > 0) {
-    session->setThreads(int(*v));
-  }
+  if (threads > 0) session->setThreads(threads);
   {
     std::lock_guard<std::mutex> lk(sessionsMu_);
     if (sessions_.count(name) != 0) {

@@ -46,13 +46,10 @@ struct ServerOptions {
   std::string metricsPath;  ///< non-empty: write metrics JSON at exit
 };
 
-/// Upper bounds of an explicit-design `load` request (the paper's largest
-/// benchmark is 28000 nets on 900^2 tracks; benchmark.cpp makes at most
-/// 25 candidates per pin).
-inline constexpr std::int64_t kLoadMaxNets = 100000;
-inline constexpr std::int64_t kLoadMaxEdge = 2048;
-inline constexpr std::int64_t kLoadMaxLayers = 16;
-inline constexpr std::int64_t kLoadMaxPinCandidates = 25;
+/// Upper bounds of a `load` request's integer router knobs. The design
+/// fields are bounded by kLoadMax* in netlist/benchmark.hpp.
+inline constexpr std::int64_t kLoadMaxNegotiateIters = 1024;
+inline constexpr std::int64_t kLoadMaxThreads = 256;
 
 /// Design spec of a `load` request: a paper `benchmark` (optionally
 /// `scale`d), or explicit nets/width/height plus optional layers, seed
@@ -61,6 +58,13 @@ inline constexpr std::int64_t kLoadMaxPinCandidates = 25;
 /// name is left empty for explicit designs.
 bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
                    std::string* err);
+
+/// Router knobs of a `load` request: backend, timing, negotiate,
+/// negotiate_iters, history_cost, and the session's `threads` (left
+/// untouched when absent). Same contract as parseLoadSpec: a mistyped or
+/// out-of-range field fails with a message in *err.
+bool parseLoadOptions(const JsonValue& req, RouterOptions* ro, int* threads,
+                      std::string* err);
 
 class RouteServer {
  public:

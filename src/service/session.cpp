@@ -218,8 +218,6 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
       out.stats = router.run();
     }
     out.verifySkips = router.verifySkips();
-    out.waveSpecHits = router.waveSpecHits();
-    out.waveSpecMisses = router.waveSpecMisses();
     // Sign-off: per-layer decomposition in layer order (the parallel
     // physicalReport reduces in the same order; totals are identical).
     {

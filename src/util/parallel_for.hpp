@@ -7,9 +7,7 @@
 // produces byte-identical results.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <span>
 
 namespace sadp {
 
@@ -32,45 +30,18 @@ void setParallelThreads(int n);
 /// (RunContext::Scope), so spans and counters inside fn land in ctx's
 /// registries.
 ///
-/// Nested-work submission: parallelFor may be called from inside another
-/// parallelFor body (e.g. the per-tile fan-out nested under the per-layer
-/// decomposition). Extra workers are drawn from ctx's budget of
+/// Worker budget: extra workers are drawn from ctx's budget of
 /// ctx.threadCount() - 1, itself bounded by the process-wide pool of
-/// parallelThreadCount() - 1 threads shared by every context -- so total
-/// live workers stay bounded at any nesting depth AND across concurrent
-/// contexts, and an inner loop fans out exactly when outer-level imbalance
-/// leaves budget idle. A loop that gets no budget runs inline on the
+/// parallelThreadCount() - 1 threads shared by every context -- so the
+/// per-layer loops of concurrent runs (batch jobs, service sessions)
+/// never oversubscribe the machine. parallelFor may also be called from
+/// inside another parallelFor body: the inner loop draws from the same
+/// budget, so total live workers stay bounded at any nesting depth. A loop that gets no budget runs inline on the
 /// calling thread -- the same result by the determinism contract above.
 void parallelFor(RunContext& ctx, int n, const std::function<void(int)>& fn);
 
 /// Context-less shim: runs under the calling thread's bound context
 /// (RunContext::current(); the default context when unbound).
 void parallelFor(int n, const std::function<void(int)>& fn);
-
-/// Cost-weighted work-stealing variant of parallelFor: the same contract
-/// (fn(0)..fn(n-1) each invoked exactly once, same worker budget, same
-/// parallel.calls/parallel.jobs counters, byte-identical results by the
-/// determinism contract above), but assignment is scheduled by weight
-/// instead of a single shared cursor.
-///
-/// weights[i] estimates the relative cost of iteration i (values <= 0 are
-/// treated as 1; weights.size() must be >= n). Items are pre-partitioned
-/// into one run queue per granted worker by descending weight (greedy
-/// longest-processing-time, deterministic in the weights and worker
-/// count). Each queue is an immutable item list behind an atomic chunk
-/// cursor: the owner drains its own queue front to back, and a worker
-/// whose queue runs dry steals by advancing the cursor of the next
-/// non-empty victim queue -- so a mispredicted weight costs balance, never
-/// correctness, and no locks are taken on the work path. Steals surface
-/// as parallel.steal trace spans (scheduling-dependent, like
-/// parallel.worker; never as metrics counters, which must stay
-/// schedule-invariant).
-void parallelForWeighted(RunContext& ctx, int n,
-                         std::span<const std::int64_t> weights,
-                         const std::function<void(int)>& fn);
-
-/// Context-less shim of the weighted variant.
-void parallelForWeighted(int n, std::span<const std::int64_t> weights,
-                         const std::function<void(int)>& fn);
 
 }  // namespace sadp

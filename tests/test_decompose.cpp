@@ -5,12 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <random>
-#include <string>
 #include <vector>
-
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
@@ -209,94 +204,6 @@ TEST(Decompose, EmptyInput) {
   const OverlayReport r = measure({});
   EXPECT_EQ(r.sideOverlayNm, 0);
   EXPECT_EQ(r.cutConflicts(), 0);
-}
-
-// --- Tiled decomposition: byte-identical to the whole-window path -----------
-
-void expectSameDecomposition(const LayerDecomposition& got,
-                             const LayerDecomposition& ref,
-                             const std::string& what) {
-  EXPECT_EQ(got.target, ref.target) << what;
-  EXPECT_EQ(got.coreMask, ref.coreMask) << what;
-  EXPECT_EQ(got.spacer, ref.spacer) << what;
-  EXPECT_EQ(got.cut, ref.cut) << what;
-  EXPECT_EQ(got.assists, ref.assists) << what;
-  EXPECT_EQ(got.bridges, ref.bridges) << what;
-  EXPECT_EQ(got.conflictBoxesNm, ref.conflictBoxesNm) << what;
-  EXPECT_EQ(got.hardOverlayBoxesNm, ref.hardOverlayBoxesNm) << what;
-  EXPECT_TRUE(got.report == ref.report) << what;
-  EXPECT_EQ(got.windowNm, ref.windowNm) << what;
-}
-
-/// Seeded random layer: a handful of horizontal/vertical wires of both
-/// colors. The window width class varies from a couple of raster words up
-/// to ~15 words so band counts of 1..15+ all occur.
-std::vector<ColoredFragment> randomFragments(std::uint32_t seed) {
-  std::mt19937 rng(seed);
-  const int kMaxX[] = {12, 48, 130, 230};
-  std::uniform_int_distribution<int> widthPick(0, 3);
-  const int maxX = kMaxX[widthPick(rng)];
-  std::uniform_int_distribution<int> nF(1, 10), dx(0, maxX - 2), dy(0, 14),
-      len(1, 12);
-  std::bernoulli_distribution horiz(0.7), second(0.5);
-  std::vector<ColoredFragment> frags;
-  const int n = nF(rng);
-  for (int i = 0; i < n; ++i) {
-    const Color c = second(rng) ? Color::Second : Color::Core;
-    if (horiz(rng)) {
-      const int x0 = dx(rng);
-      const int x1 = std::min(maxX, x0 + 1 + len(rng));
-      frags.push_back(
-          {hw(NetId(i + 1), Track(x0), Track(x1), Track(dy(rng))), c});
-    } else {
-      const int y0 = dy(rng);
-      frags.push_back({vw(NetId(i + 1), Track(dx(rng)), Track(y0),
-                          Track(y0 + 1 + len(rng) / 3)),
-                       c});
-    }
-  }
-  return frags;
-}
-
-TEST(DecomposeTiling, TiledMatchesWholeWindowReference) {
-  // Band widths covering the degenerate single-word tile, typical widths,
-  // and a tile wider than any window here (one band == whole window).
-  const int kTileChoices[] = {1, 2, 3, 5, 8, 64};
-  for (std::uint32_t seed = 1; seed <= 200; ++seed) {
-    const std::vector<ColoredFragment> frags = randomFragments(seed);
-    DecomposeOptions ref;
-    ref.tileWords = -1;
-    const LayerDecomposition want = decomposeLayer(frags, kRules, ref);
-    // The automatic policy plus two rotating explicit band widths, so every
-    // kTileChoices entry recurs throughout the seed sweep.
-    DecomposeOptions autoOpts;
-    expectSameDecomposition(decomposeLayer(frags, kRules, autoOpts), want,
-                            "seed=" + std::to_string(seed) + " auto");
-    for (int t = 0; t < 2; ++t) {
-      DecomposeOptions opts;
-      opts.tileWords = kTileChoices[(seed + 2 * t) % 6];
-      expectSameDecomposition(
-          decomposeLayer(frags, kRules, opts), want,
-          "seed=" + std::to_string(seed) +
-              " tileWords=" + std::to_string(opts.tileWords));
-    }
-  }
-}
-
-TEST(DecomposeTiling, ThreadCountIndependent) {
-  // The nested per-tile fan-out must only change WHO computes a band.
-  for (std::uint32_t seed : {7u, 1234u, 424242u}) {
-    const std::vector<ColoredFragment> frags = randomFragments(seed);
-    DecomposeOptions opts;
-    opts.tileWords = 2;
-    setParallelThreads(1);
-    const LayerDecomposition one = decomposeLayer(frags, kRules, opts);
-    setParallelThreads(4);
-    const LayerDecomposition four = decomposeLayer(frags, kRules, opts);
-    setParallelThreads(0);
-    expectSameDecomposition(four, one,
-                            "threads 4 vs 1, seed=" + std::to_string(seed));
-  }
 }
 
 }  // namespace

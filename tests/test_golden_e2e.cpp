@@ -1,8 +1,8 @@
 // Golden end-to-end regression: route one small fixed benchmark, then
 // compare the full eval CSV row (wall time pinned to 0) and the per-layer
 // mask-plane fingerprints against the committed fixture in tests/golden/.
-// The same document must come out at every thread count and tile width --
-// this is the whole-pipeline version of the determinism contract
+// The same document must come out at every thread count -- this is the
+// whole-pipeline version of the determinism contract
 // (DESIGN.md §5.6/§5.7). Regenerate fixtures with SADP_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
@@ -39,9 +39,7 @@ std::string hex16(std::uint64_t v) {
 /// CSV (cpuSeconds is the only nondeterministic column, so it is pinned to
 /// 0) followed by one fingerprint line per layer covering all six mask
 /// planes of the decomposition.
-std::string runPipeline(int threads, int tileWords,
-                        BandSchedule schedule = BandSchedule::Static,
-                        OpenList openList = OpenList::Auto) {
+std::string runPipeline(int threads, OpenList openList = OpenList::Auto) {
   setParallelThreads(threads);
   const BenchmarkSpec spec = paperBenchmark("Test1").scaled(0.06);
   BenchmarkInstance inst = makeBenchmark(spec);
@@ -49,10 +47,7 @@ std::string runPipeline(int threads, int tileWords,
   ropts.astar.openList = openList;
   OverlayAwareRouter router(inst.grid, inst.netlist, ropts);
   const RoutingStats stats = router.run();
-  DecomposeOptions opts;
-  opts.tileWords = tileWords;
-  opts.schedule = schedule;
-  const OverlayReport phys = router.physicalReport(opts);
+  const OverlayReport phys = router.physicalReport();
 
   ExperimentRow row;
   row.circuit = spec.name;
@@ -68,7 +63,7 @@ std::string runPipeline(int threads, int tileWords,
   std::ostringstream doc;
   writeCsv(doc, {row});
   for (int layer = 0; layer < inst.grid.layers(); ++layer) {
-    const LayerDecomposition d = router.decompose(layer, opts);
+    const LayerDecomposition d = router.decompose(layer);
     doc << "layer " << layer << " target=" << hex16(fingerprint(d.target))
         << " core=" << hex16(fingerprint(d.coreMask))
         << " spacer=" << hex16(fingerprint(d.spacer))
@@ -80,10 +75,10 @@ std::string runPipeline(int threads, int tileWords,
   return doc.str();
 }
 
-TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
+TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreads) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/test1_s006.golden";
-  const std::string fresh = runPipeline(1, -1);
+  const std::string fresh = runPipeline(1);
   if (std::getenv("SADP_UPDATE_GOLDEN")) {
     std::ofstream f(path, std::ios::binary);
     ASSERT_TRUE(f) << "cannot write " << path;
@@ -98,27 +93,9 @@ TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
   buf << f.rdbuf();
   const std::string golden = buf.str();
   EXPECT_EQ(fresh, golden)
-      << "untiled single-thread pipeline diverged from the fixture";
-  // The document must be invariant to the worker count and the band width:
-  // tiling and threading change how the work is split, never the result.
-  // ... nor to the band schedule: dynamic work stealing must emit the
-  // exact document the fixture froze before the scheduler existed.
-  const struct {
-    int threads, tileWords;
-    BandSchedule schedule;
-  } configs[] = {{1, 2, BandSchedule::Static},
-                 {4, -1, BandSchedule::Static},
-                 {4, 2, BandSchedule::Static},
-                 {1, 2, BandSchedule::Dynamic},
-                 {4, -1, BandSchedule::Dynamic},
-                 {4, 2, BandSchedule::Dynamic},
-                 {4, 0, BandSchedule::Dynamic}};
-  for (const auto& c : configs) {
-    EXPECT_EQ(runPipeline(c.threads, c.tileWords, c.schedule), golden)
-        << "threads=" << c.threads << " tileWords=" << c.tileWords
-        << " schedule=" << (c.schedule == BandSchedule::Dynamic ? "dynamic"
-                                                                : "static");
-  }
+      << "single-thread pipeline diverged from the fixture";
+  // Threading changes how the work is split, never the result.
+  EXPECT_EQ(runPipeline(4), golden) << "threads=4";
 }
 
 // The open-list × SIMD dispatch matrix must all land on the committed
@@ -145,16 +122,15 @@ TEST(GoldenE2E, OpenListAndSimdDispatchMatrixByteIdentical) {
                  {OpenList::Heap, SimdLevel::Scalar, "heap/scalar"}};
   for (const auto& c : configs) {
     setBitmapSimdLevel(c.simd);
-    EXPECT_EQ(runPipeline(1, -1, BandSchedule::Static, c.openList), golden)
+    EXPECT_EQ(runPipeline(1, c.openList), golden)
         << c.name << " diverged from the fixture";
   }
   setBitmapSimdLevel(SimdLevel::Auto);
 }
 
-/// The imbalanced fixture the dynamic scheduler exists for: layer-0-style
-/// skewed density -- a dense block of short wires crammed into the low-x
-/// words plus a few sparse wires stretching the window to ~15 words, so
-/// with 2-word bands the leftmost band holds most of the set pixels.
+/// Layer-0-style skewed density: a dense block of short wires crammed into
+/// the low-x raster words plus a few sparse wires stretching the window to
+/// ~15 words.
 std::vector<ColoredFragment> skewedLayer() {
   std::vector<ColoredFragment> frags;
   NetId net = 1;
@@ -182,14 +158,11 @@ std::vector<ColoredFragment> skewedLayer() {
 
 /// Golden document of one decomposition: the overlay report's fields, the
 /// six plane fingerprints, and the cut mask's nm rectangles.
-std::string decomposeDoc(int threads, int tileWords, BandSchedule schedule) {
+std::string decomposeDoc(int threads) {
   setParallelThreads(threads);
   const DesignRules rules;
-  DecomposeOptions opts;
-  opts.tileWords = tileWords;
-  opts.schedule = schedule;
   const std::vector<ColoredFragment> frags = skewedLayer();
-  const LayerDecomposition d = decomposeLayer(frags, rules, opts);
+  const LayerDecomposition d = decomposeLayer(frags, rules);
   std::ostringstream doc;
   doc << "sideOverlayNm=" << d.report.sideOverlayNm
       << " sections=" << d.report.sideOverlaySections
@@ -248,9 +221,10 @@ std::int64_t measuredWorstSlack(const OverlayAwareRouter& router,
   return analyzeTiming(nl.size(), edges, delays, fixed).analysis.worstSlack;
 }
 
-TEST(GoldenE2E, CongestedTimingFixtureAndSlackClaims) {
-  const std::string path =
-      std::string(SADP_GOLDEN_DIR) + "/congested_timing.golden";
+/// The congested fixture's golden document at one worker count; also
+/// checks the negotiation mode's convergence and slack claims.
+std::string congestedDoc(int threads) {
+  setParallelThreads(threads);
   struct Mode {
     const char* name;
     bool timing;
@@ -298,28 +272,14 @@ TEST(GoldenE2E, CongestedTimingFixtureAndSlackClaims) {
   // The headline trade-off claim (EXPERIMENTS.md): negotiation must not
   // end up timing-worse than the one-shot baseline on this fixture.
   EXPECT_GE(negotiateSlack, baselineSlack);
-
-  const std::string fresh = doc.str();
-  if (std::getenv("SADP_UPDATE_GOLDEN")) {
-    std::ofstream f(path, std::ios::binary);
-    ASSERT_TRUE(f) << "cannot write " << path;
-    f << fresh;
-    ASSERT_TRUE(bool(f)) << "short write to " << path;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream f(path, std::ios::binary);
-  ASSERT_TRUE(f) << "missing fixture " << path
-                 << " -- regenerate with SADP_UPDATE_GOLDEN=1";
-  std::stringstream buf;
-  buf << f.rdbuf();
-  EXPECT_EQ(fresh, buf.str())
-      << "congested timing document diverged from the fixture";
+  setParallelThreads(0);
+  return doc.str();
 }
 
-TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
+TEST(GoldenE2E, CongestedTimingFixtureAndSlackClaims) {
   const std::string path =
-      std::string(SADP_GOLDEN_DIR) + "/skewed_layer.golden";
-  const std::string fresh = decomposeDoc(1, 2, BandSchedule::Static);
+      std::string(SADP_GOLDEN_DIR) + "/congested_timing.golden";
+  const std::string fresh = congestedDoc(1);
   if (std::getenv("SADP_UPDATE_GOLDEN")) {
     std::ofstream f(path, std::ios::binary);
     ASSERT_TRUE(f) << "cannot write " << path;
@@ -334,21 +294,30 @@ TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
   buf << f.rdbuf();
   const std::string golden = buf.str();
   EXPECT_EQ(fresh, golden)
-      << "serial skewed-layer decomposition diverged from the fixture";
-  const struct {
-    int threads, tileWords;
-    BandSchedule schedule;
-  } configs[] = {{1, -1, BandSchedule::Static},
-                 {4, 2, BandSchedule::Static},
-                 {4, 2, BandSchedule::Dynamic},
-                 {8, 1, BandSchedule::Dynamic},
-                 {4, 0, BandSchedule::Dynamic}};
-  for (const auto& c : configs) {
-    EXPECT_EQ(decomposeDoc(c.threads, c.tileWords, c.schedule), golden)
-        << "threads=" << c.threads << " tileWords=" << c.tileWords
-        << " schedule=" << (c.schedule == BandSchedule::Dynamic ? "dynamic"
-                                                                : "static");
+      << "congested timing document diverged from the fixture";
+  EXPECT_EQ(congestedDoc(4), golden) << "threads=4";
+}
+
+TEST(GoldenE2E, SkewedDensityFixtureInvariantToThreads) {
+  const std::string path =
+      std::string(SADP_GOLDEN_DIR) + "/skewed_layer.golden";
+  const std::string fresh = decomposeDoc(1);
+  if (std::getenv("SADP_UPDATE_GOLDEN")) {
+    std::ofstream f(path, std::ios::binary);
+    ASSERT_TRUE(f) << "cannot write " << path;
+    f << fresh;
+    ASSERT_TRUE(bool(f)) << "short write to " << path;
+    GTEST_SKIP() << "regenerated " << path;
   }
+  std::ifstream f(path, std::ios::binary);
+  ASSERT_TRUE(f) << "missing fixture " << path
+                 << " -- regenerate with SADP_UPDATE_GOLDEN=1";
+  std::stringstream buf;
+  buf << f.rdbuf();
+  const std::string golden = buf.str();
+  EXPECT_EQ(fresh, golden)
+      << "single-thread skewed-layer decomposition diverged from the fixture";
+  EXPECT_EQ(decomposeDoc(4), golden) << "threads=4";
 }
 
 }  // namespace

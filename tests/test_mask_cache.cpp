@@ -1,7 +1,6 @@
 // MaskCache contract tests (DESIGN.md §5.11): a key hit returns a
 // byte-identical plane, hit/miss/eviction accounting is deterministic,
-// and the key covers exactly the output-affecting inputs (tiling and
-// scheduling knobs are byte-identity-neutral and deliberately excluded).
+// and the key covers exactly the output-affecting inputs.
 #include <gtest/gtest.h>
 
 #include "netlist/benchmark.hpp"
@@ -63,27 +62,6 @@ TEST(MaskCache, HitReturnsByteIdenticalPlane) {
   EXPECT_EQ(s.entries, 1);
   expectSamePlanes(ref, miss);
   expectSamePlanes(ref, hit);
-}
-
-TEST(MaskCache, KeyIgnoresTilingAndScheduling) {
-  const std::vector<ColoredFragment> frags = routedFragments(0);
-  const DesignRules rules{};
-
-  MaskCache cache;
-  DecomposeOptions a;
-  a.cache = &cache;
-  a.tileWords = 4;
-  a.schedule = BandSchedule::Static;
-  DecomposeOptions b;
-  b.cache = &cache;
-  b.tileWords = -1;  // whole-window reference path
-  b.schedule = BandSchedule::Dynamic;
-
-  EXPECT_EQ(maskCacheKey(frags, rules, a), maskCacheKey(frags, rules, b));
-  const LayerDecomposition first = decomposeLayer(frags, rules, a);
-  const LayerDecomposition second = decomposeLayer(frags, rules, b);
-  EXPECT_EQ(cache.stats().hits, 1);  // differently-tiled request still hits
-  expectSamePlanes(first, second);
 }
 
 TEST(MaskCache, KeyCoversOutputAffectingInputs) {

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
-#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -103,62 +101,6 @@ TEST(ParallelFor, TwoContextsNeverOversubscribeGlobalBudget) {
   EXPECT_LE(maxSeen.load(), globalCap);
   EXPECT_EQ(globalExtraWorkersInFlight(), 0);  // all budget returned
   setParallelThreads(0);
-}
-
-TEST(ParallelForWeighted, CoversEveryIndexOnceUnderRandomWeights) {
-  std::mt19937 rng(42);
-  for (int threads : {1, 2, 4, 7}) {
-    setParallelThreads(threads);
-    std::vector<std::int64_t> weights(97);
-    for (auto& w : weights) w = std::int64_t(rng() % 1000);
-    std::vector<std::atomic<int>> hits(97);
-    parallelForWeighted(97, weights,
-                        [&](int i) { hits[std::size_t(i)].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "threads=" << threads;
-  }
-  setParallelThreads(0);
-}
-
-TEST(ParallelForWeighted, ZeroAndNegativeWeightsStillRunEverything) {
-  setParallelThreads(4);
-  const std::vector<std::int64_t> weights{0, -5, 1, 0, 1000000, -1, 3, 0};
-  std::vector<std::atomic<int>> hits(8);
-  parallelForWeighted(8, weights,
-                      [&](int i) { hits[std::size_t(i)].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  setParallelThreads(0);
-}
-
-TEST(ParallelForWeighted, EmptyIsANoOp) {
-  setParallelThreads(4);
-  int calls = 0;
-  parallelForWeighted(0, {}, [&](int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  setParallelThreads(0);
-}
-
-TEST(ParallelForWeighted, PropagatesFirstException) {
-  setParallelThreads(4);
-  const std::vector<std::int64_t> weights(8, 1);
-  EXPECT_THROW(
-      parallelForWeighted(8, weights,
-                          [&](int i) {
-                            if (i == 3) throw std::runtime_error("boom");
-                          }),
-      std::runtime_error);
-  setParallelThreads(0);
-}
-
-TEST(ParallelForWeighted, CountersMatchUnweightedLoop) {
-  // The two loop flavors must be indistinguishable in the metrics registry
-  // -- the fuzz suite diffs whole counter snapshots across schedule modes.
-  RunContext a, b;
-  a.setThreadCount(3);
-  b.setThreadCount(3);
-  const std::vector<std::int64_t> weights{5, 1, 9, 2, 2, 7, 1, 1, 4, 3, 8};
-  parallelFor(a, 11, [](int) {});
-  parallelForWeighted(b, 11, weights, [](int) {});
-  EXPECT_EQ(a.metrics().counterSnapshot(), b.metrics().counterSnapshot());
 }
 
 bool sameReport(const OverlayReport& a, const OverlayReport& b) {

@@ -10,7 +10,6 @@
 
 #include "sadp/mask_cache.hpp"
 #include "service/session.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
@@ -97,55 +96,6 @@ TEST(ServiceFuzz, EcoReplaysMatchColdRoutes) {
   }
   // The replays must actually memoize, not silently re-search everything.
   EXPECT_GT(totalMemoHits, 0);
-}
-
-/// Wave-parallel ECO replays (route_jobs 4) against the cold SERIAL
-/// oracle: the two dimensions of replay equivalence -- memoized vs fresh
-/// searches, speculative vs sequential execution -- must compose. An ECO
-/// replay that both consults the memo and speculates ahead of the commit
-/// frontier still has to land byte-identical to a cold single-threaded
-/// route of the edited design.
-TEST(ServiceFuzz, EcoEditsAtRouteJobs4MatchColdSerialOracle) {
-  constexpr int kCases = 30;
-  constexpr int kEditsPerCase = 2;
-  setParallelThreads(8);
-  std::int64_t totalSpecHits = 0;
-  for (int caseId = 0; caseId < kCases; ++caseId) {
-    std::mt19937_64 rng(0x5adb1000u + std::uint64_t(caseId));
-    MaskCache cache;
-    RouterOptions wave;
-    wave.routeJobs = 4;
-    Session eco("eco", fuzzSpec(1 + std::uint64_t(caseId % 7)), &cache,
-                wave);
-    eco.setThreads(4);
-    totalSpecHits += eco.routeFull().waveSpecHits;
-    for (int step = 0; step < kEditsPerCase; ++step) {
-      const EditRequest e = randomEdit(rng, eco, caseId, step);
-      std::string err;
-      const std::optional<RouteOutcome> out = eco.applyEdit(e, &err);
-      if (!out) continue;
-      totalSpecHits += out->waveSpecHits;
-
-      MaskCache coldCache;
-      Session cold("cold", fuzzSpec(1 + std::uint64_t(caseId % 7)),
-                   &coldCache);  // default RouterOptions: serial routing
-      // Same thread budget: the CSV row's trailing column reports it.
-      // "Serial" here means routeJobs=1 (sequential net commits), not a
-      // 1-thread decompose -- scheduler equivalence is test_schedule_fuzz.
-      cold.setThreads(4);
-      cold.setNets(eco.netSpecs());
-      const RouteOutcome ref = cold.routeFull();
-      EXPECT_EQ(ref.waveSpecHits + ref.waveSpecMisses, 0);
-      expectSameOutcome(*out, ref, caseId, step);
-      if (HasFatalFailure()) {
-        setParallelThreads(0);
-        return;
-      }
-    }
-  }
-  // The wave path must actually engage across the corpus.
-  EXPECT_GT(totalSpecHits, 0);
-  setParallelThreads(0);
 }
 
 /// Two sessions editing concurrently against ONE shared MaskCache must

@@ -132,6 +132,67 @@ TEST(LoadSpec, RejectsOutOfRangeInsteadOfNarrowing) {
   }
 }
 
+/// parseLoadOptions on one request line.
+bool loadOptions(const std::string& line, RouterOptions* ro, int* threads,
+                 std::string* err) {
+  const std::optional<JsonValue> req = parseJson(line);
+  EXPECT_TRUE(req) << line;
+  return req && parseLoadOptions(*req, ro, threads, err);
+}
+
+TEST(LoadOptions, AcceptsInRangeKnobs) {
+  RouterOptions ro;
+  int threads = 0;
+  std::string err;
+  ASSERT_TRUE(loadOptions(R"({"negotiate":true,"negotiate_iters":1024,)"
+                          R"("history_cost":0.5,"threads":256})",
+                          &ro, &threads, &err))
+      << err;
+  EXPECT_TRUE(ro.negotiate);
+  EXPECT_TRUE(ro.timingDriven);
+  EXPECT_EQ(ro.maxNegotiateIters, int(kLoadMaxNegotiateIters));
+  EXPECT_EQ(threads, int(kLoadMaxThreads));
+  // Absent knobs keep their defaults.
+  ro = {};
+  threads = 0;
+  ASSERT_TRUE(loadOptions(R"({"nets":5})", &ro, &threads, &err)) << err;
+  EXPECT_EQ(ro.maxNegotiateIters, RouterOptions{}.maxNegotiateIters);
+  EXPECT_EQ(threads, 0);
+}
+
+// negotiate_iters and threads were narrowed with int(...): 4294967297
+// became 1, and a non-positive or non-integer threads was ignored.
+TEST(LoadOptions, RejectsOutOfRangeIntegerKnobs) {
+  const char* bad[] = {
+      R"({"negotiate_iters":4294967297})",
+      R"({"negotiate_iters":0})",
+      R"({"negotiate_iters":1025})",
+      R"({"negotiate_iters":2.0})",
+      R"({"threads":4294967297})",
+      R"({"threads":0})",
+      R"({"threads":-3})",
+      R"({"threads":257})",
+      R"({"threads":2.5})",
+      R"({"threads":"4"})",
+      R"({"timing":"yes"})",
+      R"({"history_cost":-1})",
+      R"({"backend":"sadp9"})",
+  };
+  for (const char* line : bad) {
+    RouterOptions ro;
+    int threads = 0;
+    std::string err;
+    EXPECT_FALSE(loadOptions(line, &ro, &threads, &err)) << line;
+    EXPECT_FALSE(err.empty()) << line;
+    EXPECT_EQ(threads, 0) << line;
+  }
+  RouterOptions ro;
+  int threads = 0;
+  std::string err;
+  EXPECT_FALSE(loadOptions(R"({"threads":0})", &ro, &threads, &err));
+  EXPECT_NE(err.find("[1, 256]"), std::string::npos) << err;
+}
+
 // ------------------------------------------------------------- Session --
 
 BenchmarkSpec tinySpec(std::uint64_t seed = 11) {

@@ -1,157 +1,29 @@
 // Timing/negotiation determinism fuzz gate (ctest label `fuzz`): with
 // --negotiate on (PathFinder pre-phase + criticality-driven ordering and
-// weights), routed output must stay a pure function of the design:
-//
-//  * serial vs wave-parallel (--route-jobs 2 and 8): byte-identical mask
-//    fingerprints, per-net committed paths, CSV fields, and the FULL
-//    counter + histogram snapshot (negotiation counters included);
-//  * session ECO replay vs a cold route of the edited design:
-//    byte-identical outcome (the negotiation pre-phase re-executes
-//    deterministically on every replay).
-//
-// Run under -DSADP_SANITIZE=thread the same trials race-check the wave
-// speculation fan-out against the frozen negotiation base field.
+// weights), a session ECO replay must equal a cold route of the edited
+// design byte for byte -- the negotiation pre-phase re-executes
+// deterministically on every replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "netlist/benchmark.hpp"
 #include "route/router.hpp"
-#include "run/run_context.hpp"
-#include "sadp/bitmap.hpp"
 #include "sadp/mask_cache.hpp"
 #include "service/session.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
 
-/// Seeded random design, deliberately denser than the plain parallel fuzz
-/// so negotiation has real contention to resolve.
-BenchmarkSpec fuzzSpec(std::uint32_t seed) {
-  std::mt19937 rng(seed * 2654435761u + 1013u);
-  BenchmarkSpec s;
-  s.name = "tf" + std::to_string(seed);
-  s.netCount = 12 + int(rng() % 37);      // 12 .. 48
-  s.width = Track(28 + int(rng() % 21));  // 28 .. 48
-  s.height = Track(28 + int(rng() % 21));
-  s.seed = std::uint64_t(seed) * 131 + 5;
-  if (rng() % 4 == 0) s.pinCandidates = 2;
-  return s;
-}
-
-RouterOptions negotiateOpts(int routeJobs) {
+RouterOptions negotiateOpts() {
   RouterOptions ro;
-  ro.routeJobs = routeJobs;
   ro.negotiate = true;
   ro.timingDriven = true;
   return ro;
 }
-
-struct RouteDigest {
-  std::vector<std::uint64_t> planes;        ///< 4 mask planes per layer
-  std::vector<std::vector<GridNode>> paths; ///< committed route per net
-  std::vector<char> routed;
-  OverlayReport report;
-  std::string csvRow;
-  std::vector<CounterSample> counters;
-  std::vector<std::pair<std::string, std::int64_t>> histTotals;
-  std::int64_t specHits = 0;
-  std::int64_t specMisses = 0;
-};
-
-RouteDigest routeOnce(const BenchmarkSpec& spec, int routeJobs, int threads) {
-  RunContext ctx;
-  ctx.setThreadCount(threads);
-  BenchmarkInstance inst = makeBenchmark(spec);
-  OverlayAwareRouter router(inst.grid, inst.netlist, negotiateOpts(routeJobs),
-                            &ctx);
-  const RoutingStats stats = router.run();
-  const OverlayReport report = router.physicalReport();
-
-  RouteDigest out;
-  for (int layer = 0; layer < inst.grid.layers(); ++layer) {
-    const LayerDecomposition d = router.decompose(layer);
-    out.planes.push_back(fingerprint(d.target));
-    out.planes.push_back(fingerprint(d.coreMask));
-    out.planes.push_back(fingerprint(d.spacer));
-    out.planes.push_back(fingerprint(d.cut));
-  }
-  for (const NetRouteState& st : router.netStates()) {
-    out.paths.push_back(st.path);
-    out.routed.push_back(st.routed ? 1 : 0);
-  }
-  out.report = report;
-  // The sadp_route_cli --csv row shape with the timing columns appended.
-  std::ostringstream csv;
-  csv << stats.totalNets << ',' << stats.routedNets << ','
-      << stats.routability() << ',' << stats.wirelength << ',' << stats.vias
-      << ',' << stats.ripUps << ',' << report.sideOverlayNm << ','
-      << report.cutConflicts() << ',' << report.hardOverlays << ','
-      << stats.worstSlack << ',' << stats.negotiateIters << ','
-      << stats.negotiateOverflow << ',' << (stats.timingValid ? 1 : 0);
-  out.csvRow = csv.str();
-  out.counters = ctx.metrics().counterSnapshot();
-  for (const std::string& name : ctx.metrics().histogramNames()) {
-    const Histogram* h = ctx.metrics().findHistogram(name);
-    out.histTotals.emplace_back(name, h->count());
-    out.histTotals.emplace_back(name + ".sum", h->sum());
-  }
-  out.specHits = router.waveSpecHits();
-  out.specMisses = router.waveSpecMisses();
-  return out;
-}
-
-void expectSameDigest(const RouteDigest& got, const RouteDigest& ref,
-                      const std::string& what) {
-  EXPECT_EQ(got.planes, ref.planes) << what;
-  EXPECT_EQ(got.routed, ref.routed) << what;
-  EXPECT_EQ(got.paths, ref.paths) << what;
-  EXPECT_TRUE(got.report == ref.report) << what;
-  EXPECT_EQ(got.csvRow, ref.csvRow) << what;
-  EXPECT_EQ(got.histTotals, ref.histTotals) << what;
-  ASSERT_EQ(got.counters.size(), ref.counters.size()) << what;
-  for (std::size_t i = 0; i < ref.counters.size(); ++i) {
-    EXPECT_EQ(got.counters[i].first, ref.counters[i].first) << what;
-    EXPECT_EQ(got.counters[i].second, ref.counters[i].second)
-        << what << " counter " << ref.counters[i].first;
-  }
-}
-
-TEST(TimingFuzz, NegotiatedRoutingByteIdenticalAcrossRouteJobs) {
-  setParallelThreads(8);
-  std::int64_t totalSpecHits = 0;
-  std::int64_t totalNegotiateRounds = 0;
-  for (std::uint32_t seed = 1; seed <= 100; ++seed) {
-    const BenchmarkSpec spec = fuzzSpec(seed);
-    const std::string what = "seed=" + std::to_string(seed) + " nets=" +
-                             std::to_string(spec.netCount);
-    const RouteDigest serial = routeOnce(spec, 1, 2);
-    EXPECT_EQ(serial.specHits + serial.specMisses, 0) << what;
-    const RouteDigest jobs2 = routeOnce(spec, 2, 2);
-    expectSameDigest(jobs2, serial, what + " jobs=2");
-    const RouteDigest jobs8 = routeOnce(spec, 8, 8);
-    expectSameDigest(jobs8, serial, what + " jobs=8");
-    totalSpecHits += jobs2.specHits + jobs8.specHits;
-    for (const auto& [name, v] : serial.histTotals) {
-      if (name == "router.negotiate_overflow") totalNegotiateRounds += v;
-    }
-    if (HasFatalFailure()) break;
-  }
-  // The gate must exercise both machineries for real: speculation verified
-  // against the negotiation base field, and negotiation itself.
-  EXPECT_GT(totalSpecHits, 0);
-  EXPECT_GT(totalNegotiateRounds, 0);
-  setParallelThreads(0);
-}
-
-// ---------------------------------------------------------------------
-// Session ECO replay with negotiation on: every incremental re-route must
-// equal a cold route of the edited design, byte for byte.
 
 BenchmarkSpec ecoSpec(std::uint64_t seed) {
   BenchmarkSpec s;
@@ -216,7 +88,7 @@ TEST(TimingFuzz, EcoReplaysWithNegotiationMatchColdRoutes) {
     std::mt19937_64 rng(0x71b10000u + std::uint64_t(caseId));
     MaskCache cache;
     Session eco("eco", ecoSpec(1 + std::uint64_t(caseId % 7)), &cache,
-                negotiateOpts(1));
+                negotiateOpts());
     eco.routeFull();
     for (int step = 0; step < kEditsPerCase; ++step) {
       const EditRequest e = randomEdit(rng, eco, caseId, step);
@@ -227,7 +99,7 @@ TEST(TimingFuzz, EcoReplaysWithNegotiationMatchColdRoutes) {
 
       MaskCache coldCache;
       Session cold("cold", ecoSpec(1 + std::uint64_t(caseId % 7)),
-                   &coldCache, negotiateOpts(1));
+                   &coldCache, negotiateOpts());
       cold.setNets(eco.netSpecs());
       const RouteOutcome ref = cold.routeFull();
       expectSameOutcome(*out, ref, caseId, step);
@@ -237,35 +109,6 @@ TEST(TimingFuzz, EcoReplaysWithNegotiationMatchColdRoutes) {
   // Negotiation must not defeat memoization: replayed searches that re-see
   // the same history base must verify and hit.
   EXPECT_GT(totalMemoHits, 0);
-}
-
-TEST(TimingFuzz, EcoWaveReplaysWithNegotiationMatchColdSerial) {
-  constexpr int kCases = 10;
-  setParallelThreads(8);
-  for (int caseId = 0; caseId < kCases; ++caseId) {
-    std::mt19937_64 rng(0x71b20000u + std::uint64_t(caseId));
-    MaskCache cache;
-    Session eco("eco", ecoSpec(2 + std::uint64_t(caseId % 5)), &cache,
-                negotiateOpts(4));
-    eco.setThreads(4);
-    eco.routeFull();
-    const EditRequest e = randomEdit(rng, eco, caseId, 0);
-    std::string err;
-    const std::optional<RouteOutcome> out = eco.applyEdit(e, &err);
-    if (!out) continue;
-
-    MaskCache coldCache;
-    Session cold("cold", ecoSpec(2 + std::uint64_t(caseId % 5)), &coldCache,
-                 negotiateOpts(1));
-    // Same thread budget: the CSV row's thread column reports it. Serial
-    // here means routeJobs=1 (sequential commits), not a 1-thread run.
-    cold.setThreads(4);
-    cold.setNets(eco.netSpecs());
-    const RouteOutcome ref = cold.routeFull();
-    expectSameOutcome(*out, ref, caseId, 0);
-    if (HasFatalFailure()) break;
-  }
-  setParallelThreads(0);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "netlist/benchmark.hpp"
 #include "route/router.hpp"
-#include "sadp/decompose.hpp"
 #include "trace/metrics.hpp"
 #include "util/parallel_for.hpp"
 
@@ -177,100 +176,6 @@ TEST(Metrics, CountersByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(one[i].second, other[i].second)
           << "counter " << one[i].first << " threads=" << threads;
     }
-  }
-}
-
-// ---- Tiled-decomposition spans & counters ----------------------------------
-
-std::int64_t counterValue(const std::vector<CounterSample>& snap,
-                          const std::string& name) {
-  for (const auto& [n, v] : snap) {
-    if (n == name) return v;
-  }
-  return -1;
-}
-
-/// 40-track-wide six-wire layer: a 3-word decomposition window, so fixed
-/// band widths of 1..3 words give distinct band counts.
-std::vector<ColoredFragment> tileTestFragments() {
-  std::vector<ColoredFragment> frags;
-  for (int y = 0; y < 6; ++y) {
-    frags.push_back({Fragment{0, Track(2 * y), 40, Track(2 * y + 1),
-                              NetId(y + 1)},
-                     (y % 2) ? Color::Second : Color::Core});
-  }
-  return frags;
-}
-
-/// Counter snapshot plus window word count after one decomposeLayer run.
-std::pair<std::vector<CounterSample>, int> decomposeSnapshot(int threads,
-                                                             int tileWords) {
-  MetricsRegistry::instance().resetAll();
-  setParallelThreads(threads);
-  DecomposeOptions opts;
-  opts.tileWords = tileWords;
-  const std::vector<ColoredFragment> frags = tileTestFragments();
-  const LayerDecomposition d = decomposeLayer(frags, DesignRules{}, opts);
-  setParallelThreads(0);
-  return {MetricsRegistry::instance().counterSnapshot(),
-          Bitmap::wordsPerRow(d.target.width())};
-}
-
-TEST(Metrics, TileSpanAndCountersMatchBandMath) {
-  LevelGuard guard(TraceLevel::Aggregate);
-  const auto [snap, wpr] = decomposeSnapshot(1, 1);
-  ASSERT_GT(wpr, 1);
-  // Three tiled stages per layer (assist clip, spacer synthesis, cut MRC),
-  // each over ceil(wpr / tileWords) = wpr single-word bands.
-  EXPECT_EQ(counterValue(snap, "decompose.tiles"), 3 * wpr);
-  EXPECT_EQ(counterValue(snap, "decompose.tiled_calls"), 1);
-  // Each band reads at least its own words (plus halo context words).
-  EXPECT_GE(counterValue(snap, "decompose.tile_words"), 3 * wpr);
-  const auto aggs = spanAggregates();
-  const auto it = std::find_if(
-      aggs.begin(), aggs.end(),
-      [](const SpanAggregate& a) { return a.name == "decompose.tile"; });
-  ASSERT_NE(it, aggs.end());
-  EXPECT_EQ(it->count, 3 * wpr);  // one span per band, same total as tiles
-}
-
-TEST(Metrics, TileCountersByteIdenticalAcrossThreadCounts) {
-  // The nested per-tile fan-out measures the work, not the workers: every
-  // counter total (tile counters included) must survive SADP_THREADS.
-  const auto [one, wprOne] = decomposeSnapshot(1, 2);
-  ASSERT_FALSE(one.empty());
-  EXPECT_GT(counterValue(one, "decompose.tiles"), 0);
-  for (int threads : {2, 4}) {
-    const auto [other, wprN] = decomposeSnapshot(threads, 2);
-    EXPECT_EQ(wprN, wprOne);
-    ASSERT_EQ(one.size(), other.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < one.size(); ++i) {
-      EXPECT_EQ(one[i].first, other[i].first) << "threads=" << threads;
-      EXPECT_EQ(one[i].second, other[i].second)
-          << "counter " << one[i].first << " threads=" << threads;
-    }
-  }
-}
-
-TEST(Metrics, WorkCountersIndependentOfTileSize) {
-  // Band width changes how the morphology work is split, never how much
-  // there is: outside the tiling bookkeeping itself (decompose.tile*) and
-  // the parallelFor call/job counts, totals match the untiled reference.
-  const auto filtered = [](const std::vector<CounterSample>& snap) {
-    std::vector<CounterSample> out;
-    for (const CounterSample& s : snap) {
-      if (s.first.rfind("decompose.tile", 0) != 0 &&
-          s.first.rfind("parallel.", 0) != 0) {
-        out.push_back(s);
-      }
-    }
-    return out;
-  };
-  const auto ref = filtered(decomposeSnapshot(1, -1).first);
-  ASSERT_FALSE(ref.empty());
-  for (int tileWords : {1, 2, 8}) {
-    EXPECT_EQ(filtered(decomposeSnapshot(1, tileWords).first), ref)
-        << "tileWords=" << tileWords;
   }
 }
 

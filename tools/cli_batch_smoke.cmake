@@ -89,3 +89,24 @@ foreach(pair "--negotiate-iters;0" "--negotiate-iters;3x"
   endif()
 endforeach()
 message(STATUS "cli batch smoke OK (bad timing option values rejected)")
+
+# Design-size options share the service `load` bounds: a size the grid
+# constructor would reject (--layers 0 once aborted with exit 134) or one
+# past the bounds is a usage error up front.
+foreach(pair "--layers;0" "--layers;-2" "--layers;17" "--width;0"
+             "--width;7" "--width;2049" "--height;-1" "--height;99999"
+             "--seed-demo;0" "--seed-demo;100001")
+  list(GET pair 0 flag)
+  list(GET pair 1 bad)
+  set(argv --seed-demo 10 --width 20 --height 20 --layers 3)
+  list(APPEND argv "${flag}" "${bad}")
+  execute_process(COMMAND "${CLI}" ${argv}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${flag} ${bad} exited ${rc}, want usage error 2\n${err}")
+  endif()
+  if(NOT err MATCHES "usage:")
+    message(FATAL_ERROR "${flag} ${bad} stderr lacks usage text:\n${err}")
+  endif()
+endforeach()
+message(STATUS "cli batch smoke OK (out-of-range design sizes rejected)")

@@ -77,6 +77,22 @@ execute_process(
       --expect-error bad_request
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":-0.5}' \
       --expect-error bad_request
+    # Integer knobs are range-checked before narrowing (4294967297 is not
+    # 1), and a bad threads value is rejected, not ignored.
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate_iters\":4294967297}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate_iters\":1025}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":0}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":4294967297}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":257}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":2.5}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":\"4\"}' \
+      --expect-error bad_request
     # timeout_ms:0 expires while queued -> deterministic timeout error.
     client req --json '{\"op\":\"route\",\"session\":\"s\",\"timeout_ms\":0}' --expect-error timeout
     # Session cap 2: third load is rejected.

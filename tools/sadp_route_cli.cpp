@@ -5,9 +5,9 @@
 //
 // Options:
 //   --nets FILE         netlist in the sadp-netlist text format (required)
-//   --width N           grid width in tracks  (required)
-//   --height N          grid height in tracks (required)
-//   --layers N          routing layers (default 3)
+//   --width N           grid width in tracks, 8..2048  (required)
+//   --height N          grid height in tracks, 8..2048 (required)
+//   --layers N          routing layers, 1..16 (default 3)
 //   --svg PREFIX        write PREFIX<layer>.svg artwork per layer
 //   --masks PREFIX      write PREFIX<layer>.masks rectangle files
 //   --csv FILE          append a result row as CSV
@@ -15,23 +15,12 @@
 //   --no-cut-check      disable the windowed cut-conflict check
 //   --no-repair         disable the post-pass violation repair
 //   --seed-demo N       ignore --nets and generate a demo instance with N
-//                       nets on the given grid instead
+//                       nets (1..100000) on the given grid instead
 //   --threads N         worker threads for parallel passes (overrides the
 //                       SADP_THREADS environment variable)
-//   --route-jobs N      speculative wave-parallel net routing width
-//                       (default 1 = sequential). Any value yields
-//                       byte-identical masks, CSV and counters.
-//   --tile-words N      column-band width (64-px words) of the tiled
-//                       decomposition morphology; 0 = automatic (default),
-//                       negative = whole-window reference path. Any value
-//                       yields byte-identical reports and masks.
 //   --backend NAME      patterning backend: sadp2 (the default 2-color SADP
 //                       cut process) or tpl3 (triple patterning; emits 3
 //                       exposure planes per layer)
-//   --schedule MODE     band-to-worker assignment of the tiled passes:
-//                       "dynamic" (default) = cost-weighted work stealing,
-//                       "static" = shared-cursor assignment. Either mode
-//                       yields byte-identical reports, masks, and counters.
 //   --timing            timing-driven mode: net-level static timing
 //                       (estimated delays, proximity edges) orders nets by
 //                       criticality and scales per-net search weights; the
@@ -93,7 +82,6 @@ struct CliArgs {
   std::string metricsFile;
   int seedDemo = 0;
   int threads = 0;
-  DecomposeOptions decompose;
   RouterOptions router;
 };
 
@@ -103,8 +91,7 @@ struct CliArgs {
                "       [--layers N] [--svg PREFIX] [--masks PREFIX]\n"
                "       [--csv FILE] [--no-flip] [--no-cut-check]\n"
                "       [--no-repair] [--seed-demo N] [--threads N]\n"
-               "       [--route-jobs N] [--tile-words N]\n"
-               "       [--backend sadp2|tpl3] [--schedule static|dynamic]\n"
+               "       [--backend sadp2|tpl3]\n"
                "       [--timing] [--negotiate] [--negotiate-iters N]\n"
                "       [--history-cost X] [--trace FILE] [--metrics FILE]\n"
                "   or: sadp_route_cli --batch LIST-FILE [--jobs N]\n";
@@ -122,6 +109,20 @@ int parseIntOpt(const char* opt, const std::string& s) {
     usage((std::string(opt) + " wants an integer, got '" + s + "'").c_str());
   }
   return *v;
+}
+
+/// parseIntOpt bounded to [lo, hi]: the design-size options share the
+/// service `load` bounds (netlist/benchmark.hpp), so a size the grid
+/// constructor would reject is a usage error, never an abort.
+int parseBoundedOpt(const char* opt, const std::string& s, std::int64_t lo,
+                    std::int64_t hi) {
+  const int v = parseIntOpt(opt, s);
+  if (v < lo || v > hi) {
+    usage((std::string(opt) + " wants an integer in [" + std::to_string(lo) +
+           ", " + std::to_string(hi) + "], got " + s)
+              .c_str());
+  }
+  return v;
 }
 
 /// Strict decimal option parse: plain digits with at most one '.', no
@@ -151,11 +152,13 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
     if (opt == "--nets") {
       a.netsFile = value(i);
     } else if (opt == "--width") {
-      a.width = Track(parseIntOpt("--width", value(i)));
+      a.width = Track(
+          parseBoundedOpt("--width", value(i), kLoadMinEdge, kLoadMaxEdge));
     } else if (opt == "--height") {
-      a.height = Track(parseIntOpt("--height", value(i)));
+      a.height = Track(
+          parseBoundedOpt("--height", value(i), kLoadMinEdge, kLoadMaxEdge));
     } else if (opt == "--layers") {
-      a.layers = parseIntOpt("--layers", value(i));
+      a.layers = parseBoundedOpt("--layers", value(i), 1, kLoadMaxLayers);
     } else if (opt == "--svg") {
       a.svgPrefix = value(i);
     } else if (opt == "--masks") {
@@ -170,17 +173,10 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
     } else if (opt == "--no-repair") {
       a.router.enableRepair = false;
     } else if (opt == "--seed-demo") {
-      a.seedDemo = parseIntOpt("--seed-demo", value(i));
+      a.seedDemo = parseBoundedOpt("--seed-demo", value(i), 1, kLoadMaxNets);
     } else if (opt == "--threads") {
       a.threads = parseIntOpt("--threads", value(i));
       if (a.threads <= 0) usage("--threads wants a positive count");
-    } else if (opt == "--route-jobs") {
-      a.router.routeJobs = parseIntOpt("--route-jobs", value(i));
-      if (a.router.routeJobs <= 0) {
-        usage("--route-jobs wants a positive count");
-      }
-    } else if (opt == "--tile-words") {
-      a.decompose.tileWords = parseIntOpt("--tile-words", value(i));
     } else if (opt == "--backend") {
       const std::string& name = value(i);
       a.router.backend = findPatterningBackend(name);
@@ -188,15 +184,6 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
         usage(("unknown --backend '" + name + "' (expected one of: " +
                patterningBackendNames() + ")")
                   .c_str());
-      }
-    } else if (opt == "--schedule") {
-      const std::string& mode = value(i);
-      if (mode == "static") {
-        a.decompose.schedule = BandSchedule::Static;
-      } else if (mode == "dynamic") {
-        a.decompose.schedule = BandSchedule::Dynamic;
-      } else {
-        usage("--schedule wants 'static' or 'dynamic'");
       }
     } else if (opt == "--timing") {
       a.router.timingDriven = true;
@@ -286,7 +273,7 @@ RunOutput runOne(const CliArgs& args) {
   RoutingGrid grid(args.width, args.height, args.layers, DesignRules{});
   OverlayAwareRouter router(grid, netlist, args.router, &ctx);
   const RoutingStats stats = router.run();
-  const OverlayReport report = router.physicalReport(args.decompose);
+  const OverlayReport report = router.physicalReport();
 
   os << "nets        " << stats.totalNets << "\n"
      << "threads     " << ctx.threadCount() << "\n"
@@ -309,7 +296,7 @@ RunOutput runOne(const CliArgs& args) {
 
   for (int layer = 0; layer < grid.layers(); ++layer) {
     if (!args.svgPrefix.empty() || !args.maskPrefix.empty()) {
-      const LayerDecomposition d = router.decompose(layer, args.decompose);
+      const LayerDecomposition d = router.decompose(layer);
       if (!args.svgPrefix.empty()) {
         const auto frags = router.coloredFragments(layer);
         writeLayerSvgFile(args.svgPrefix + std::to_string(layer) + ".svg", d,
