@@ -41,6 +41,12 @@ inline constexpr std::int64_t kLoadMinEdge = 8;
 inline constexpr std::int64_t kLoadMaxEdge = 2048;
 inline constexpr std::int64_t kLoadMaxLayers = 16;
 inline constexpr std::int64_t kLoadMaxPinCandidates = 25;
+/// Bounds of the negotiation knobs (service `negotiate_iters` /
+/// `history_cost`, CLI --negotiate-iters / --history-cost). Together they
+/// cap a cell's history at 1024 * 2^16; times the largest A* fixed-point
+/// scale (2^12) that is 2^38, inside the 2^40 the search accepts.
+inline constexpr std::int64_t kLoadMaxNegotiateIters = 1024;
+inline constexpr double kLoadMaxHistoryCost = 65536.0;
 
 /// The ten published circuits. Index 0..4 = Test1..Test5 (fixed pins,
 /// Table III); 5..9 = Test6..Test10 (multi-candidate pins, Table IV).

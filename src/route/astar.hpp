@@ -23,25 +23,14 @@ class Counter;
 class Histogram;
 class RunContext;
 
-/// Open-list implementation selector (DESIGN.md §5.9). The search cost
-/// model is the same exact fixed-point integer model for Bucket and Heap,
-/// and their pop order is identical by construction (LIFO within equal f
-/// == ordering by (f, push sequence descending)), so the two produce
-/// byte-identical paths, costs, expansions and counters -- enforced by
-/// tests/test_astar_equiv.cpp. Auto picks Bucket whenever the Dial
-/// monotonicity preconditions hold (nonnegative quantized step costs,
-/// consistent heuristic, representable bucket span) and Heap otherwise.
-/// LegacyFloat is the pre-fixed-point double-cost engine, kept as the
-/// fallback for parameter sets with no exact fixed-point representation.
-enum class OpenList : std::uint8_t { Auto, Bucket, Heap, LegacyFloat };
-
+/// Eq. (5) cost weights. route() searches them in an exact fixed-point
+/// integer model (DESIGN.md §5.9.1) and rejects weights that have none.
 struct AStarParams {
   double alpha = 1.0;        ///< wirelength weight
   double beta = 1.0;         ///< via weight
   double gamma = 1.5;        ///< type 2-b scenario weight
   double wrongWay = 1.5;     ///< multiplier on alpha against preferred dir
   std::int64_t maxExpansions = 4'000'000;  ///< search effort cap
-  OpenList openList = OpenList::Auto;      ///< open-list selector
 
   friend bool operator==(const AStarParams&, const AStarParams&) = default;
 };
@@ -60,8 +49,8 @@ inline constexpr const char* kExpansionsPerRoute = "astar.expansions_per_route";
 /// Exact power-of-two fixed-point scale for an AStarParams cost model:
 /// the smallest 2^shift under which alpha, beta and alpha*wrongWay are all
 /// integers with zero precision loss (checked by exact double round-trip).
-/// `ok == false` means no such scale exists (e.g. alpha = 1/3) and the
-/// engine falls back to the legacy double-cost path.
+/// `ok == false` means no such scale exists (e.g. alpha = 1/3); route()
+/// throws std::invalid_argument for such parameters.
 struct FixedCostScale {
   bool ok = false;
   int shift = 0;  ///< scale = 1 << shift
@@ -159,6 +148,11 @@ class AStarEngine {
   /// pin the first run's registry across contexts.
   explicit AStarEngine(const RoutingGrid& grid, RunContext* ctx = nullptr);
 
+  /// Searches with the Dial bucket queue, or with the integer heap when a
+  /// field holds a negative cell, wrongWay < 1, or the f span needs more
+  /// than 2^18 buckets; both return byte-identical results. Throws
+  /// std::invalid_argument when deriveFixedCostScale(params) is !ok or a
+  /// field's maxSeen() times the scale exceeds 2^40.
   std::optional<AStarResult> route(NetId net,
                                    std::span<const GridNode> sources,
                                    std::span<const GridNode> targets,
@@ -183,22 +177,13 @@ class AStarEngine {
                                          std::span<const GridNode> targets,
                                          const IntSearchSetup& su,
                                          AStarResult& result);
-  std::optional<AStarResult> routeLegacy(NetId net,
-                                         std::span<const GridNode> sources,
-                                         std::span<const GridNode> targets,
-                                         const AStarParams& params,
-                                         const PenaltyField* extra,
-                                         const T2bField* t2b,
-                                         AStarResult& result);
-
   /// Records one probed cell into *record_ (first touch per epoch only).
   void recordProbe(const GridNode& n, NetId net, const PenaltyField* extra,
                    const T2bField* t2b);
 
   const RoutingGrid* grid_;
   Arena* scratch_;  ///< owning context's per-run scratch arena
-  std::vector<float> best_;          ///< legacy double-cost path only
-  std::vector<std::int64_t> bestQ_;  ///< fixed-point g (bucket/heap modes)
+  std::vector<std::int64_t> bestQ_;  ///< fixed-point g per node
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> targetStamp_;

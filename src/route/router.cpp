@@ -14,6 +14,12 @@ namespace sadp {
 
 namespace {
 
+constexpr int kMaxRipUp = 3;        ///< rip-up & re-route iterations per net
+constexpr int kFlipThreshold = 10;  ///< f_threshold (units of w_line)
+constexpr float kRipUpPenalty = 6.0f;  ///< IncreaseCost() delta per cell
+/// Negotiation present cost per extra sharer of a cell.
+constexpr float kPresentFactor = 2.0f;
+
 /// All pins of a net (source, target, taps).
 std::vector<const Pin*> netPins(const Net& n) {
   std::vector<const Pin*> pins{&n.source, &n.target};
@@ -192,7 +198,7 @@ void OverlayAwareRouter::penalizeHardHits(
     const auto L = std::int16_t(h.layer);
     for (Track y = h.a.ylo - 1; y <= h.a.yhi; ++y) {
       for (Track x = h.a.xlo - 1; x <= h.a.xhi; ++x) {
-        addRipUpPenalty({x, y, L}, opts_.ripUpPenalty);
+        addRipUpPenalty({x, y, L}, kRipUpPenalty);
       }
     }
   }
@@ -280,17 +286,7 @@ SearchMemoKey OverlayAwareRouter::makeSearchKey(
   key.params = params;
   key.usedPenalty = extra != nullptr;
   key.usedT2b = t2b != nullptr;
-  if (extra != nullptr) {
-    key.penaltyHistory = ripUpHistoryHash_;
-    key.penaltyMaxSeen = extra->maxSeen();
-    key.penaltyHasNegative = extra->hasNegative();
-  }
-  if (t2b != nullptr) {
-    key.t2bHMaxSeen = t2b->horizontalEntry.maxSeen();
-    key.t2bVMaxSeen = t2b->verticalEntry.maxSeen();
-    key.t2bHasNegative = t2b->horizontalEntry.hasNegative() ||
-                         t2b->verticalEntry.hasNegative();
-  }
+  if (extra != nullptr) key.penaltyHistory = ripUpHistoryHash_;
   return key;
 }
 
@@ -432,7 +428,7 @@ bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
   }
   const AStarParams params = netParams(net.id);
 
-  for (int attempt = 0; attempt <= opts_.maxRipUp; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRipUp; ++attempt) {
     const bool usePenalty = !freshPenaltyField || attempt > 0 || hasNegBase;
     auto res = memoSearch(
         net.id, net.source.candidates, net.target.candidates, params,
@@ -503,7 +499,7 @@ bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
         reject = true;
         counters_.banRejects->add(1);
         for (const GridNode& n : st.path) {
-          addRipUpPenalty(n, opts_.ripUpPenalty * 0.5f);
+          addRipUpPenalty(n, kRipUpPenalty * 0.5f);
         }
       }
     }
@@ -512,7 +508,7 @@ bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
       counters_.cutRejects->add(1);
       // Penalize the whole path region lightly to push the next try away.
       for (const GridNode& n : st.path) {
-        addRipUpPenalty(n, opts_.ripUpPenalty * 0.5f);
+        addRipUpPenalty(n, kRipUpPenalty * 0.5f);
       }
     }
     if (reject) {
@@ -534,7 +530,7 @@ bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
     st.routed = true;
 
     if (opts_.enableColorFlip &&
-        model_.overlayUnitsOfNet(net.id) > opts_.flipThreshold) {
+        model_.overlayUnitsOfNet(net.id) > kFlipThreshold) {
       SADP_SPAN_ARG("router.net_flip", net.id);
       for (int layer = 0; layer < grid_->layers(); ++layer) {
         if (model_.graph(layer).findVertex(net.id) >= 0) {
@@ -633,7 +629,7 @@ void OverlayAwareRouter::negotiationPhase(
   auto addCells = [&](const std::vector<GridNode>& cells, int dir) {
     for (const GridNode& n : cells) {
       grid_->addUsage(n, dir);
-      negField.add(n, float(dir) * opts_.presentFactor);
+      negField.add(n, float(dir) * kPresentFactor);
     }
   };
 
@@ -717,17 +713,17 @@ RoutingStats OverlayAwareRouter::run() {
   std::vector<const Net*> order;
   order.reserve(netlist_->size());
   for (const Net& net : netlist_->nets) order.push_back(&net);
-  if (opts_.shortNetsFirst) {
-    auto hpwl = [](const Net& n) {
-      const GridNode& s = n.source.candidates.front();
-      const GridNode& t = n.target.candidates.front();
-      return std::abs(s.x - t.x) + std::abs(s.y - t.y);
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](const Net* a, const Net* b) {
-                       return hpwl(*a) < hpwl(*b);
-                     });
-  }
+  // Shortest half-perimeter first: short nets lock in fewer resources (a
+  // standard detailed-routing heuristic).
+  auto hpwl = [](const Net& n) {
+    const GridNode& s = n.source.candidates.front();
+    const GridNode& t = n.target.candidates.front();
+    return std::abs(s.x - t.x) + std::abs(s.y - t.y);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Net* a, const Net* b) {
+                     return hpwl(*a) < hpwl(*b);
+                   });
   if (opts_.timingDriven) {
     // Critical nets route first (stable over the length order above):
     // they claim the straight paths, slack-rich nets absorb the detours.
@@ -936,7 +932,7 @@ bool OverlayAwareRouter::rerouteAway(const Net& net, const Rect& avoidTr,
   clearRipUpField();
   for (Track y = avoidTr.ylo; y < avoidTr.yhi; ++y) {
     for (Track x = avoidTr.xlo; x < avoidTr.xhi; ++x) {
-      addRipUpPenalty({x, y, std::int16_t(layer)}, 25.0f * opts_.ripUpPenalty);
+      addRipUpPenalty({x, y, std::int16_t(layer)}, 25.0f * kRipUpPenalty);
     }
   }
   if (routeNet(net, /*freshPenaltyField=*/false)) {

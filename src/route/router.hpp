@@ -5,7 +5,7 @@
 //       OverlayAwareAStarSearch          (eq. (5) cost, T2b avoidance)
 //       UpdateConstraintGraph            (OverlayModel::addNet)
 //       if hard odd cycle or cut conflict:
-//         RipUp + IncreaseCost, retry    (bounded by maxRipUp)
+//         RipUp + IncreaseCost, retry    (bounded by kMaxRipUp)
 //     Pseudocoloring                     (greedy class coloring)
 //     if SideOverlay(net) > f_threshold: ColorFlipping (net's layers)
 //   final ColorFlipping on the full layout
@@ -35,8 +35,6 @@ class RunContext;
 
 struct RouterOptions {
   AStarParams astar;
-  int maxRipUp = 3;            ///< max rip-up & re-route iterations per net
-  int flipThreshold = 10;      ///< f_threshold (units of w_line)
   bool enableColorFlip = true; ///< per-net color flipping
   bool finalGlobalFlip = true; ///< full-layout flip after routing
   bool enableT2bAvoidance = true;  ///< gamma term of eq. (5)
@@ -49,11 +47,6 @@ struct RouterOptions {
   bool acceptHardViolations = false;
   /// Baseline mode: first-fit colors instead of cost-aware pseudo-coloring.
   bool naiveColoring = false;
-  /// Net ordering for the sequential route: shortest half-perimeter first
-  /// (short nets lock in fewer resources, a standard detailed-routing
-  /// heuristic). Disabled = netlist order.
-  bool shortNetsFirst = true;
-  float ripUpPenalty = 6.0f;   ///< IncreaseCost() delta per offending cell
   Nm cutCheckWindowTracks = 5; ///< half-window of the local cut check
   int repairPasses = 3;        ///< flip/reroute repair iterations
   /// Last-resort repair: unroute a conflict-involved net when neither a
@@ -104,7 +97,6 @@ struct RouterOptions {
   bool negotiate = false;
   int maxNegotiateIters = 16;     ///< negotiation iteration cap
   float historyIncrement = 1.0f;  ///< history added per overflowed cell/iter
-  float presentFactor = 2.0f;     ///< present cost per extra sharer of a cell
   TimingOptions timing;           ///< delay model / period for timingDriven
 };
 

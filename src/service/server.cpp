@@ -191,7 +191,7 @@ RouteServer::~RouteServer() {
 
 void RouteServer::requestStop() { onStopSignal(0); }
 
-bool RouteServer::openListeners() {
+bool RouteServer::bindListeners() {
   if (!opts_.socketPath.empty()) {
     sockaddr_un addr{};
     if (opts_.socketPath.size() >= sizeof addr.sun_path) {
@@ -252,7 +252,7 @@ int RouteServer::serve() {
   ::sigaction(SIGTERM, &sa, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (!openListeners()) return 1;
+  if (!bindListeners()) return 1;
 
   workers_.reserve(std::size_t(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
@@ -605,8 +605,10 @@ bool parseLoadOptions(const JsonValue& req, RouterOptions* ro, int* threads,
     return false;
   }
   if (const JsonValue* v = req.find("history_cost"); v != nullptr) {
-    if (!v->isNumber() || !(v->asDouble() >= 0.0)) {
-      *err = "history_cost must be a number >= 0";
+    // Range-checked before the float cast: 1e300 would overflow to inf.
+    if (!v->isNumber() || !(v->asDouble() >= 0.0) ||
+        !(v->asDouble() <= kLoadMaxHistoryCost)) {
+      *err = "history_cost must be a number in [0, 65536]";
       return false;
     }
     ro->historyIncrement = float(v->asDouble());

@@ -46,9 +46,8 @@ struct ServerOptions {
   std::string metricsPath;  ///< non-empty: write metrics JSON at exit
 };
 
-/// Upper bounds of a `load` request's integer router knobs. The design
-/// fields are bounded by kLoadMax* in netlist/benchmark.hpp.
-inline constexpr std::int64_t kLoadMaxNegotiateIters = 1024;
+/// Upper bound of a `load` request's thread count. The design and
+/// negotiation fields are bounded by kLoadMax* in netlist/benchmark.hpp.
 inline constexpr std::int64_t kLoadMaxThreads = 256;
 
 /// Design spec of a `load` request: a paper `benchmark` (optionally
@@ -85,7 +84,7 @@ class RouteServer {
   struct Conn;
   struct Task;
 
-  bool openListeners();
+  bool bindListeners();
   void readerLoop(std::shared_ptr<Conn> conn);
   void workerLoop();
   /// Enqueues, or replies queue_full / shutting_down immediately.

@@ -49,7 +49,10 @@ TraceLevel traceLevel();
 namespace trace_detail {
 extern std::atomic<int> g_level;  ///< default sink's level, relaxed access
 /// Bound sink's level storage for this thread; null = default sink.
-extern thread_local const std::atomic<int>* t_level;
+/// constinit tells other translation units the variable needs no dynamic
+/// initialization, so reads skip GCC's TLS init wrapper (whose null
+/// check UBSan reports as a null atomic load).
+extern thread_local constinit const std::atomic<int>* t_level;
 inline int levelRelaxed() {
   const std::atomic<int>* p = t_level;
   return (p ? *p : g_level).load(std::memory_order_relaxed);

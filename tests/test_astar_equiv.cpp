@@ -2,12 +2,19 @@
 //
 // The bucket (Dial) open list and the integer binary heap share one cost
 // model and, by construction, one pop order -- LIFO within equal f equals
-// ordering by (f, push sequence descending). These tests enforce that
-// byte-for-byte over randomized grids, obstacle fields, penalty fields and
-// T2b marks: identical paths (node by node), costs, via counts, expansion
-// counts, and metric counter values, route after route on a warm engine.
+// ordering by (f, push sequence descending). The engine picks the heap
+// only from its input, so these tests force it metamorphically: a
+// negative or huge penalty on a cell owned by another net is never read
+// as a step cost (A* never steps there) but disqualifies the bucket
+// queue. Over randomized grids, obstacle fields, penalty fields and T2b
+// marks the two runs must agree byte for byte: identical paths (node by
+// node), costs, via counts, expansion counts, and metric counter values,
+// route after route on a warm engine.
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,7 +56,7 @@ struct Scenario {
 
 /// Randomized routing scenario: obstacles, multi-source/multi-target pin
 /// sets, quantizable cost weights, and optional (nonnegative) penalty and
-/// T2b fields so both bucket and heap modes stay eligible.
+/// T2b fields, so the engine searches it with the bucket queue.
 Scenario makeScenario(std::mt19937& rng) {
   std::uniform_int_distribution<int> dim(8, 24);
   std::uniform_int_distribution<int> layerCount(1, 3);
@@ -111,14 +118,12 @@ Scenario makeScenario(std::mt19937& rng) {
   return s;
 }
 
-/// Runs the scenario's route sequence under one open-list mode with a
-/// fresh RunContext, snapshotting results and metric counters.
-std::vector<RouteOutcome> runMode(const Scenario& s, OpenList mode) {
+/// Runs the scenario's route sequence with a fresh RunContext,
+/// snapshotting results and metric counters.
+std::vector<RouteOutcome> runScenario(const Scenario& s) {
   RunContext ctx;
   RunContext::Scope scope(ctx);
   AStarEngine engine(s.grid, &ctx);
-  AStarParams params = s.params;
-  params.openList = mode;
   const PenaltyField* extra = s.useExtra ? &s.extra : nullptr;
   const T2bField* t2b = s.useT2b ? &s.t2b : nullptr;
 
@@ -128,7 +133,7 @@ std::vector<RouteOutcome> runMode(const Scenario& s, OpenList mode) {
   for (int pass = 0; pass < 3; ++pass) {
     const auto& src = pass == 2 ? s.targets : s.sources;
     const auto& tgt = pass == 2 ? s.sources : s.targets;
-    auto res = engine.route(1, src, tgt, params, extra, t2b);
+    auto res = engine.route(1, src, tgt, s.params, extra, t2b);
     RouteOutcome o;
     o.routed = res.has_value();
     if (res) {
@@ -145,99 +150,100 @@ std::vector<RouteOutcome> runMode(const Scenario& s, OpenList mode) {
   return out;
 }
 
+/// How forceHeap() disqualifies the bucket queue.
+enum class HeapTrigger {
+  NegativePenalty,  ///< a negative cell in the rip-up field
+  HugePenalty,      ///< an f span far beyond 2^18 buckets
+  NegativeT2b,      ///< a negative cell in a T2b field
+};
+
+/// Metamorphic twin of s that the engine must search with the heap: the
+/// trigger value sits on `blocked`, a cell owned by net 99, which the
+/// routed net 1 never steps onto, so no step cost ever reads it.
+Scenario forceHeap(const Scenario& s, const GridNode& blocked,
+                   HeapTrigger trigger) {
+  Scenario t = s;
+  switch (trigger) {
+    case HeapTrigger::NegativePenalty:
+      t.useExtra = true;
+      t.extra.add(blocked, -1.0f - t.extra.at(blocked));
+      break;
+    case HeapTrigger::HugePenalty:
+      t.useExtra = true;
+      t.extra.add(blocked, 1.0e6f);
+      break;
+    case HeapTrigger::NegativeT2b:
+      t.useT2b = true;
+      t.t2b.verticalEntry.add(blocked,
+                              -1.0f - t.t2b.verticalEntry.at(blocked));
+      break;
+  }
+  return t;
+}
+
+std::string describe(const RouteOutcome& o) {
+  return "(cost=" + std::to_string(o.cost) +
+         ", exp=" + std::to_string(o.expansions) +
+         ", pushes=" + std::to_string(o.ctrPushes) +
+         ", len=" + std::to_string(o.path.size()) + ")";
+}
+
 TEST(AStarEquiv, BucketMatchesHeapByteForByte) {
   std::mt19937 rng(20140601);  // DAC'14 seed; deterministic suite
   for (int iter = 0; iter < 150; ++iter) {
     Scenario s = makeScenario(rng);
-    const auto bucket = runMode(s, OpenList::Bucket);
-    const auto heap = runMode(s, OpenList::Heap);
+    // The blocked cell carrying the heap trigger; occupied before the
+    // plain run too, so both runs search the same grid.
+    std::uniform_int_distribution<int> x(0, s.grid.width() - 1);
+    std::uniform_int_distribution<int> y(0, s.grid.height() - 1);
+    std::uniform_int_distribution<int> l(0, s.grid.layers() - 1);
+    const GridNode blocked{Track(x(rng)), Track(y(rng)),
+                           std::int16_t(l(rng))};
+    s.grid.occupy(blocked, 99);
+    const auto trigger = HeapTrigger(iter % 3);
+    const Scenario t = forceHeap(s, blocked, trigger);
+    if (trigger == HeapTrigger::NegativeT2b) {
+      ASSERT_TRUE(t.t2b.verticalEntry.hasNegative());
+    } else if (trigger == HeapTrigger::NegativePenalty) {
+      ASSERT_TRUE(t.extra.hasNegative());
+    }
+
+    const auto bucket = runScenario(s);
+    const auto heap = runScenario(t);
     ASSERT_EQ(bucket.size(), heap.size());
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       EXPECT_TRUE(bucket[i] == heap[i])
-          << "iter " << iter << " pass " << i << ": bucket(cost="
-          << bucket[i].cost << ", exp=" << bucket[i].expansions
-          << ", pushes=" << bucket[i].ctrPushes << ", len="
-          << bucket[i].path.size() << ") vs heap(cost=" << heap[i].cost
-          << ", exp=" << heap[i].expansions << ", pushes="
-          << heap[i].ctrPushes << ", len=" << heap[i].path.size() << ")";
+          << "iter " << iter << " pass " << i << " trigger "
+          << int(trigger) << ": bucket" << describe(bucket[i]) << " vs heap"
+          << describe(heap[i]);
     }
   }
 }
 
-TEST(AStarEquiv, AutoSelectsBucketResultsOnCleanFields) {
-  // With nonnegative fields and wrongWay >= 1, Auto must behave exactly
-  // like the forced-bucket mode (it selects it).
-  std::mt19937 rng(7);
-  for (int iter = 0; iter < 40; ++iter) {
-    Scenario s = makeScenario(rng);
-    const auto autoMode = runMode(s, OpenList::Auto);
-    const auto bucket = runMode(s, OpenList::Bucket);
-    for (std::size_t i = 0; i < autoMode.size(); ++i) {
-      EXPECT_TRUE(autoMode[i] == bucket[i]) << "iter " << iter;
-    }
-  }
-}
-
-TEST(AStarEquiv, NegativePenaltiesFallBackAndStillAgree) {
-  // A field holding negative values disables the bucket mode; Auto must
-  // fall back to the integer heap, and a forced Bucket request must also
-  // decay to the heap rather than corrupt the monotone invariant. The
-  // negative deltas are capped at the minimum step weight (1/8), keeping
-  // every edge cost nonnegative -- a genuinely negative cycle would hang
-  // any reopening-based search, legacy engine included.
-  std::mt19937 rng(99);
-  for (int iter = 0; iter < 40; ++iter) {
-    Scenario s = makeScenario(rng);
-    s.useExtra = true;
-    std::uniform_int_distribution<int> x(0, s.grid.width() - 1);
-    std::uniform_int_distribution<int> y(0, s.grid.height() - 1);
-    for (int i = 0; i < 10; ++i) {
-      const GridNode n{Track(x(rng)), Track(y(rng)), 0};
-      if (s.extra.at(n) == 0.0f) s.extra.add(n, -0.125f);
-    }
-    for (Track xx = 0; !s.extra.hasNegative() && xx < s.grid.width(); ++xx) {
-      const GridNode n{xx, 0, 0};
-      if (s.extra.at(n) == 0.0f) s.extra.add(n, -0.125f);
-    }
-    ASSERT_TRUE(s.extra.hasNegative());
-    const auto autoMode = runMode(s, OpenList::Auto);
-    const auto heap = runMode(s, OpenList::Heap);
-    const auto bucket = runMode(s, OpenList::Bucket);
-    for (std::size_t i = 0; i < autoMode.size(); ++i) {
-      EXPECT_TRUE(autoMode[i] == heap[i]) << "iter " << iter;
-      EXPECT_TRUE(bucket[i] == heap[i]) << "iter " << iter;
-    }
-  }
-}
-
-TEST(AStarEquiv, UnrepresentableWeightsUseLegacyPath) {
-  // alpha = 1/3 has no finite power-of-two fixed-point representation:
-  // every mode must agree because they all route through the legacy
-  // double-cost engine (the documented fallback).
+TEST(AStarEquiv, UnrepresentableWeightsAreRejected) {
+  // alpha = 1/3 has no finite power-of-two fixed-point representation,
+  // so the engine refuses it.
   RoutingGrid g(16, 16, 2, DesignRules{});
   AStarParams p;
   p.alpha = 1.0 / 3.0;
   EXPECT_FALSE(deriveFixedCostScale(p).ok);
-  for (OpenList mode :
-       {OpenList::Auto, OpenList::Bucket, OpenList::Heap}) {
-    AStarParams q = p;
-    q.openList = mode;
-    AStarEngine eng(g);
-    auto res = eng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}}, q);
-    ASSERT_TRUE(res.has_value());
-    // 11 horizontal + 8 vertical steps (one direction wrong-way) + 1 via;
-    // exact value depends on preferred directions, so just require all
-    // modes to produce the identical legacy result.
-    AStarParams ref = p;
-    ref.openList = OpenList::LegacyFloat;
-    AStarEngine refEng(g);
-    auto refRes =
-        refEng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}}, ref);
-    ASSERT_TRUE(refRes.has_value());
-    EXPECT_EQ(res->path, refRes->path);
-    EXPECT_DOUBLE_EQ(res->cost, refRes->cost);
-    EXPECT_EQ(res->expansions, refRes->expansions);
-  }
+  AStarEngine eng(g);
+  EXPECT_THROW(
+      eng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}}, p),
+      std::invalid_argument);
+
+  // So is a field whose values overflow the fixed-point range (a float
+  // sum past its range reads inf).
+  PenaltyField huge(g);
+  huge.add(GridNode{5, 5, 0}, std::numeric_limits<float>::infinity());
+  EXPECT_THROW(eng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}},
+                         AStarParams{}, &huge),
+               std::invalid_argument);
+
+  // The engine stays usable after a rejected call.
+  EXPECT_TRUE(eng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}},
+                        AStarParams{})
+                  .has_value());
 }
 
 TEST(AStarEquiv, FixedScaleDerivation) {

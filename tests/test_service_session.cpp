@@ -158,6 +158,10 @@ TEST(LoadOptions, AcceptsInRangeKnobs) {
   ASSERT_TRUE(loadOptions(R"({"nets":5})", &ro, &threads, &err)) << err;
   EXPECT_EQ(ro.maxNegotiateIters, RouterOptions{}.maxNegotiateIters);
   EXPECT_EQ(threads, 0);
+  // history_cost's upper bound is inclusive.
+  ASSERT_TRUE(loadOptions(R"({"history_cost":65536})", &ro, &threads, &err))
+      << err;
+  EXPECT_EQ(ro.historyIncrement, float(kLoadMaxHistoryCost));
 }
 
 // negotiate_iters and threads were narrowed with int(...): 4294967297
@@ -176,6 +180,8 @@ TEST(LoadOptions, RejectsOutOfRangeIntegerKnobs) {
       R"({"threads":"4"})",
       R"({"timing":"yes"})",
       R"({"history_cost":-1})",
+      R"({"history_cost":65537})",
+      R"({"history_cost":1e300})",
       R"({"backend":"sadp9"})",
   };
   for (const char* line : bad) {

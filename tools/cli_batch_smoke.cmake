@@ -71,12 +71,15 @@ foreach(bad "0" "-2" "2x")
 endforeach()
 message(STATUS "cli batch smoke OK (bad --jobs values rejected)")
 
-# The timing/negotiation knobs parse strictly too: --negotiate-iters wants a
-# positive integer, --history-cost a nonnegative decimal with no trailing
-# junk (strtod would silently read "1.5x" as 1.5).
+# The timing/negotiation knobs parse strictly too: --negotiate-iters wants an
+# integer in [1, 1024], --history-cost a decimal in [0, 65536] with no
+# trailing junk (strtod would silently read "1.5x" as 1.5; 1 and 42 zeros
+# overflowed the float cast to inf).
 foreach(pair "--negotiate-iters;0" "--negotiate-iters;3x"
+             "--negotiate-iters;1025"
              "--history-cost;-1" "--history-cost;1.5x"
-             "--history-cost;nan")
+             "--history-cost;nan" "--history-cost;65537"
+             "--history-cost;1000000000000000000000000000000000000000000")
   list(GET pair 0 flag)
   list(GET pair 1 bad)
   execute_process(COMMAND "${CLI}" --negotiate "${flag}" "${bad}"

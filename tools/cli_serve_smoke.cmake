@@ -77,6 +77,11 @@ execute_process(
       --expect-error bad_request
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":-0.5}' \
       --expect-error bad_request
+    # history_cost is bounded before its float cast (1e300 overflowed to inf).
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":1e300}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":65537}' \
+      --expect-error bad_request
     # Integer knobs are range-checked before narrowing (4294967297 is not
     # 1), and a bad threads value is rejected, not ignored.
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate_iters\":4294967297}' \

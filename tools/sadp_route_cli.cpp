@@ -29,9 +29,9 @@
 //                       --timing): nets share cells under present + history
 //                       costs until overflow-free, and the history carries
 //                       into the main loop as a base penalty field
-//   --negotiate-iters N maximum negotiation iterations (default 16)
+//   --negotiate-iters N maximum negotiation iterations, 1..1024 (default 16)
 //   --history-cost X    history cost added to each overflowed cell per
-//                       negotiation iteration (default 1.0)
+//                       negotiation iteration, 0..65536 (default 1.0)
 //   --trace FILE        write a Chrome trace-event JSON (full span events)
 //   --metrics FILE      write a flat run-metrics JSON (counters, histograms,
 //                       per-phase wall times)
@@ -191,14 +191,15 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
       a.router.negotiate = true;
       a.router.timingDriven = true;  // negotiation measures against slack
     } else if (opt == "--negotiate-iters") {
-      a.router.maxNegotiateIters =
-          parseIntOpt("--negotiate-iters", value(i));
-      if (a.router.maxNegotiateIters <= 0) {
-        usage("--negotiate-iters wants a positive count");
-      }
+      a.router.maxNegotiateIters = parseBoundedOpt(
+          "--negotiate-iters", value(i), 1, kLoadMaxNegotiateIters);
     } else if (opt == "--history-cost") {
+      // Range-checked before the float cast: 1 and 42 zeros would
+      // overflow to inf.
       const double v = parseDoubleOpt("--history-cost", value(i));
-      if (v < 0.0) usage("--history-cost wants a nonnegative value");
+      if (!(v >= 0.0 && v <= kLoadMaxHistoryCost)) {
+        usage("--history-cost wants a decimal in [0, 65536]");
+      }
       a.router.historyIncrement = float(v);
     } else if (opt == "--trace") {
       a.traceFile = value(i);
