@@ -183,12 +183,13 @@ BaselineResult runDuGraphModel(RoutingGrid& grid, const Netlist& netlist,
     for (int layer = 0; layer < grid.layers(); ++layer) {
       const auto frags = model.fragmentsInWindow(
           layer, Rect{0, 0, grid.width(), grid.height()});
-      volatile std::int64_t sink = 0;  // defeat dead-code elimination
+      std::int64_t sum = 0;
       for (std::size_t i = 0; i < frags.size(); ++i) {
         for (std::size_t j = i + 1; j < frags.size(); ++j) {
-          sink += int(classify(frags[i], frags[j]).type);
+          sum += int(classify(frags[i], frags[j]).type);
         }
       }
+      volatile std::int64_t sink = sum;  // defeat dead-code elimination
       (void)sink;
     }
   }

@@ -191,6 +191,11 @@ struct AStarEngine::IntSearchSetup {
   std::int64_t wrongQ;
   double scaleD;  ///< 1 << shift, as double
   bool useHeuristic;
+  /// Entry-penalty floor: every path ends by entering floorTarget and
+  /// paying its rip-up penalty, so floorQ is added to h of every other
+  /// node (0 when no floor applies; see route()).
+  std::int64_t floorQ;
+  std::uint32_t floorTarget;
 
   std::int64_t quant(double v) const { return std::llround(v * scaleD); }
 };
@@ -353,6 +358,7 @@ std::optional<AStarResult> AStarEngine::searchFixed(
             h = std::min(h, hBase[i] + hd[i]);
           }
         }
+        if (nidx != su.floorTarget) h += su.floorQ;
         open.push(g + h, g, nidx);
         ++pushCount_;
       }
@@ -445,12 +451,44 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
   // to Dijkstra (h = 0), which is trivially admissible.
   su.useHeuristic = targets.size() <= 8;
 
+  // The Manhattan heuristic is consistent when no quantized step undercuts
+  // its per-step drop: wrongQ >= alphaQ, a nonnegative T2b weight, and no
+  // negative field cell. The first two are properties of the weights.
+  const bool consistentWeights =
+      fs.wrongQ >= fs.alphaQ && (t2b == nullptr || params.gamma >= 0.0);
+  const bool nonnegativeFields =
+      (extra == nullptr || !extra->hasNegative()) &&
+      (t2b == nullptr || (!t2b->horizontalEntry.hasNegative() &&
+                          !t2b->verticalEntry.hasNegative()));
+
+  // Entry-penalty floor (DESIGN.md §5.9.1): the last step of every path
+  // enters the one target and pays its rip-up penalty -- 150 when a
+  // repair reroute's avoid box covers the pin, which the Manhattan
+  // heuristic alone cannot see. Adding it to every non-target h shifts
+  // their keys uniformly (same relative pop order) and keeps h consistent,
+  // so the search returns the identical path and cost after fewer
+  // expansions. With several targets the co-optimal target reached would
+  // depend on the plateau the floor skips, so only one target qualifies.
+  // The floor reads only the weights and the target cell, never a field's
+  // global summary, so bucket and heap still run the same search.
+  su.floorQ = 0;
+  su.floorTarget = std::uint32_t(-1);
+  if (extra != nullptr && targets.size() == 1 && grid.inBounds(targets[0])) {
+    if (record_ != nullptr) recordProbe(targets[0], net, extra, t2b);
+    if (consistentWeights) {
+      su.floorQ = std::max<std::int64_t>(
+          0, su.quant(double(extra->at(targets[0]))));
+      su.floorTarget = std::uint32_t(grid.index(targets[0]));
+    }
+  }
+
   auto passable = [&](const GridNode& node) {
     const NetId owner = grid.owner(node);
     return owner == kInvalidNet || owner == net;
   };
   auto srcH = [&](const GridNode& a) -> std::int64_t {
     if (!su.useHeuristic) return 0;
+    if (grid.index(a) == su.floorTarget) return 0;
     std::int64_t hBest = kInfQ;
     for (const GridNode& t : targets) {
       const std::int64_t d =
@@ -459,7 +497,7 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
           su.betaQ * std::abs(std::int64_t(a.layer) - std::int64_t(t.layer));
       hBest = std::min(hBest, d);
     }
-    return hBest;
+    return hBest + su.floorQ;
   };
 
   // All open-list storage (buckets, entry pool, heap) lives in the
@@ -499,20 +537,13 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
     }
   };
 
-  // Bucket preconditions: every quantized step cost nonnegative (so f is
-  // monotone under a consistent heuristic) and the in-flight f span
-  // representable in a modest circular bucket array. wrongQ >= alphaQ
-  // keeps the Manhattan heuristic consistent (h never drops faster than
-  // the cheapest planar step).
-  bool bucketOk =
-      fs.wrongQ >= fs.alphaQ &&
-      (t2b == nullptr || params.gamma >= 0.0) &&
-      (extra == nullptr || !extra->hasNegative()) &&
-      (t2b == nullptr || (!t2b->horizontalEntry.hasNegative() &&
-                          !t2b->verticalEntry.hasNegative()));
-  if (bucketOk) {
+  // Bucket preconditions: a consistent heuristic (so f is monotone) and
+  // the in-flight f span representable in a modest circular bucket array.
+  if (consistentWeights && nonnegativeFields) {
     // f span bound: one step plus the heuristic's per-step drift, and at
-    // least the spread of the seed f values.
+    // least the spread of the seed f values. The floor leaves it valid:
+    // non-target keys shift together, and a push onto the target lands
+    // at most one step above the popped key.
     constexpr std::uint64_t kMaxBuckets = std::uint64_t(1) << 18;
     const std::int64_t maxStepQ =
         std::max({fs.alphaQ, fs.wrongQ, fs.betaQ}) +

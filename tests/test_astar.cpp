@@ -189,6 +189,30 @@ TEST(AStar, T2bFieldIsDirectional) {
   EXPECT_FALSE(enteredRow5OnL0Vertically);
 }
 
+// A repair reroute stamps 25 x kRipUpPenalty = 150 per cell over the
+// conflict box; when the net's target pin sits inside it, every path pays
+// 150 on its last step. Without the entry-penalty floor the Manhattan
+// heuristic cannot see that cost and the search floods the whole
+// 64 x 64 x 3 grid before popping the target (12 268 expansions); with it
+// the search stays near the straight line (189).
+TEST(AStar, TargetInAvoidBoxDoesNotFlood) {
+  RoutingGrid g = makeGrid(64, 64, 3);
+  PenaltyField fld(g);
+  const GridNode s{8, 32, 0}, t{56, 32, 0};
+  for (Track y = t.y - 2; y <= t.y + 2; ++y) {
+    for (Track x = t.x - 2; x <= t.x + 2; ++x) fld.add({x, y, 0}, 150.0f);
+  }
+  AStarEngine eng(g);
+  auto res = eng.route(1, {{s}}, {{t}}, AStarParams{}, &fld);
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->path.front(), s);
+  EXPECT_EQ(res->path.back(), t);
+  // 45 tracks to the box edge, a via up, three wrong-way steps on layer 1
+  // around the box cells, and a via down into t paying its 150.
+  EXPECT_DOUBLE_EQ(res->cost, 45.0 + 1.0 + 3 * 1.5 + 1.0 + 150.0);
+  EXPECT_LT(res->expansions, 400);
+}
+
 TEST(AStar, ExpansionCapAborts) {
   RoutingGrid g = makeGrid(30, 30, 1);
   AStarEngine eng(g);

@@ -10,6 +10,14 @@
 // marks the two runs must agree byte for byte: identical paths (node by
 // node), costs, via counts, expansion counts, and metric counter values,
 // route after route on a warm engine.
+//
+// A test-local textbook A* (no entry-penalty floor, same cost model and
+// tie-break) is the oracle for the floor: with the target inside a
+// 150-per-cell avoid box the engine must return the oracle's path, cost
+// and vias with no more expansions, and with several targets (no floor)
+// it must match the oracle exactly.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -218,6 +226,179 @@ TEST(AStarEquiv, BucketMatchesHeapByteForByte) {
           << describe(heap[i]);
     }
   }
+}
+
+/// Textbook A* over the engine's fixed-point cost model (eq. (5) step
+/// cost, Manhattan heuristic, h = 0 past eight targets) with a binary heap
+/// ordered by (f, push sequence descending) and no entry-penalty floor:
+/// the search the engine ran before the floor, written independently.
+RouteOutcome oracleRoute(const RoutingGrid& g, NetId net,
+                         const std::vector<GridNode>& sources,
+                         const std::vector<GridNode>& targets,
+                         const AStarParams& p, const PenaltyField* extra,
+                         const T2bField* t2b) {
+  const FixedCostScale fs = deriveFixedCostScale(p);
+  const double scale = double(std::int64_t(1) << fs.shift);
+  auto quant = [&](double v) { return std::llround(v * scale); };
+  auto passable = [&](const GridNode& n) {
+    return g.owner(n) == kInvalidNet || g.owner(n) == net;
+  };
+  const bool useH = targets.size() <= 8;
+  auto h = [&](const GridNode& n) -> std::int64_t {
+    if (!useH) return 0;
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    for (const GridNode& t : targets) {
+      best = std::min<std::int64_t>(
+          best, fs.alphaQ * (std::abs(n.x - t.x) + std::abs(n.y - t.y)) +
+                    fs.betaQ * std::abs(n.layer - t.layer));
+    }
+    return best;
+  };
+  std::vector<char> isTarget(g.nodeCount(), 0);
+  for (const GridNode& t : targets) {
+    if (g.inBounds(t)) isTarget[g.index(t)] = 1;
+  }
+
+  struct Entry {
+    std::int64_t f, g;
+    GridNode node;
+    std::int64_t seq;
+  };
+  auto after = [](const Entry& a, const Entry& b) {
+    return a.f != b.f ? a.f > b.f : a.seq < b.seq;
+  };
+  std::vector<Entry> open;
+  std::int64_t seq = 0;
+  std::vector<std::int64_t> best(g.nodeCount(),
+                                 std::numeric_limits<std::int64_t>::max());
+  std::vector<GridNode> parent(g.nodeCount());
+  std::vector<char> hasParent(g.nodeCount(), 0);
+  auto push = [&](std::int64_t f, std::int64_t gq, const GridNode& n) {
+    open.push_back({f, gq, n, seq++});
+    std::push_heap(open.begin(), open.end(), after);
+  };
+  for (const GridNode& s : sources) {
+    if (!g.inBounds(s) || !passable(s)) continue;
+    best[g.index(s)] = 0;
+    push(h(s), 0, s);
+  }
+
+  RouteOutcome o;
+  while (!open.empty()) {
+    std::pop_heap(open.begin(), open.end(), after);
+    const Entry top = open.back();
+    open.pop_back();
+    if (top.g > best[g.index(top.node)]) continue;
+    ++o.expansions;
+    if (isTarget[g.index(top.node)]) {
+      o.routed = true;
+      o.cost = double(top.g) / scale;
+      for (GridNode n = top.node;; n = parent[g.index(n)]) {
+        o.path.push_back(n);
+        if (!hasParent[g.index(n)]) break;
+      }
+      std::reverse(o.path.begin(), o.path.end());
+      for (std::size_t i = 1; i < o.path.size(); ++i) {
+        o.vias += o.path[i].layer != o.path[i - 1].layer;
+      }
+      return o;
+    }
+    const GridNode cur = top.node;
+    const GridNode moves[6] = {{Track(cur.x + 1), cur.y, cur.layer},
+                               {Track(cur.x - 1), cur.y, cur.layer},
+                               {cur.x, Track(cur.y + 1), cur.layer},
+                               {cur.x, Track(cur.y - 1), cur.layer},
+                               {cur.x, cur.y, std::int16_t(cur.layer + 1)},
+                               {cur.x, cur.y, std::int16_t(cur.layer - 1)}};
+    for (int m = 0; m < 6; ++m) {
+      const GridNode& nxt = moves[m];
+      if (!g.inBounds(nxt) || !passable(nxt)) continue;
+      std::int64_t step;
+      if (m >= 4) {
+        step = fs.betaQ;
+      } else {
+        const bool horizontal = m < 2;
+        step = (g.preferredDir(cur.layer) == Orient::Horizontal) == horizontal
+                   ? fs.alphaQ
+                   : fs.wrongQ;
+        if (t2b != nullptr) {
+          const PenaltyField& f =
+              horizontal ? t2b->horizontalEntry : t2b->verticalEntry;
+          step += quant(p.gamma * double(f.at(nxt)));
+        }
+      }
+      if (extra != nullptr) step += quant(double(extra->at(nxt)));
+      const std::size_t ni = g.index(nxt);
+      const std::int64_t gq = top.g + step;
+      if (gq < best[ni]) {
+        best[ni] = gq;
+        parent[ni] = cur;
+        hasParent[ni] = 1;
+        push(gq + h(nxt), gq, nxt);
+      }
+    }
+  }
+  return o;
+}
+
+/// Stamps a repair-style avoid box (25 x kRipUpPenalty = 150 per cell) of
+/// radius r around n on n's layer.
+void stampAvoidBox(PenaltyField& f, const RoutingGrid& g, const GridNode& n,
+                   int r) {
+  for (int dy = -r; dy <= r; ++dy) {
+    for (int dx = -r; dx <= r; ++dx) {
+      const GridNode c{Track(n.x + dx), Track(n.y + dy), n.layer};
+      if (g.inBounds(c)) f.add(c, 150.0f);
+    }
+  }
+}
+
+TEST(AStarEquiv, EntryPenaltyFloorMatchesTextbookOracle) {
+  std::mt19937 rng(20140602);
+  std::bernoulli_distribution coin(0.5);
+  std::uniform_int_distribution<int> radius(0, 3);
+  std::int64_t singleEngine = 0;
+  std::int64_t singleOracle = 0;
+  int singleRouted = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    Scenario s = makeScenario(rng);
+    // Alternate single-target (floor applies) and multi-target (guarded).
+    const bool single = iter % 2 == 0;
+    if (single) {
+      s.targets.resize(1);
+    } else if (s.targets.size() == 1) {
+      s.targets.push_back(s.sources.front());
+    }
+    s.useExtra = true;
+    stampAvoidBox(s.extra, s.grid, s.targets.front(), radius(rng));
+    if (coin(rng)) stampAvoidBox(s.extra, s.grid, s.sources.front(), 2);
+    const T2bField* t2b = s.useT2b ? &s.t2b : nullptr;
+
+    RunContext ctx;
+    RunContext::Scope scope(ctx);
+    AStarEngine engine(s.grid, &ctx);
+    const auto res =
+        engine.route(1, s.sources, s.targets, s.params, &s.extra, t2b);
+    const RouteOutcome want =
+        oracleRoute(s.grid, 1, s.sources, s.targets, s.params, &s.extra, t2b);
+    ASSERT_EQ(res.has_value(), want.routed) << "iter " << iter;
+    if (!res) continue;
+    EXPECT_EQ(res->path, want.path) << "iter " << iter;
+    EXPECT_EQ(res->cost, want.cost) << "iter " << iter;
+    EXPECT_EQ(res->vias, want.vias) << "iter " << iter;
+    if (single) {
+      EXPECT_LE(res->expansions, want.expansions) << "iter " << iter;
+      singleEngine += res->expansions;
+      singleOracle += want.expansions;
+      ++singleRouted;
+    } else {
+      EXPECT_EQ(res->expansions, want.expansions)
+          << "iter " << iter << ": multi-target search must not use the floor";
+    }
+  }
+  // The floor must actually bite on this distribution, not just tie.
+  ASSERT_GT(singleRouted, 50);
+  EXPECT_LT(singleEngine * 2, singleOracle);
 }
 
 TEST(AStarEquiv, UnrepresentableWeightsAreRejected) {

@@ -80,7 +80,9 @@ TEST(Trim, MaskPartitionHolds) {
   for (int y = 0; y < d.target.height(); ++y) {
     for (int x = 0; x < d.target.width(); ++x) {
       ASSERT_FALSE(d.spacer.get(x, y) && d.target.get(x, y));
-      if (d.trimMask.get(x, y)) ASSERT_TRUE(d.target.get(x, y));
+      if (d.trimMask.get(x, y)) {
+        ASSERT_TRUE(d.target.get(x, y));
+      }
     }
   }
 }
