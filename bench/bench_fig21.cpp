@@ -60,9 +60,7 @@ int main() {
 
   std::vector<ColoredFragment> ours;
   for (const Fragment& f : frags) {
-    Color c = model.colorOf(f.net, 0);
-    if (c == Color::Unassigned) c = Color::Core;
-    ours.push_back({f, c});
+    ours.push_back({f, model.maskColor(f.net, 0)});
   }
   const OverlayReport a = decomposeAndWrite("fig21_ours.svg", ours);
 

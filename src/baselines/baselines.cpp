@@ -200,14 +200,11 @@ BaselineResult runDuGraphModel(RoutingGrid& grid, const Netlist& netlist,
   const DesignRules& rules = grid.rules();
   std::vector<TrimReport> perLayer(std::size_t(grid.layers()));
   parallelFor(ctx, grid.layers(), [&](int layer) {
-    std::vector<ColoredFragment> cfs;
-    for (const Fragment& f : model.fragmentsInWindow(
-             layer, Rect{0, 0, grid.width(), grid.height()})) {
-      Color c = model.colorOf(f.net, layer);
-      if (c == Color::Unassigned) c = Color::Core;
-      cfs.push_back({f, c});
-    }
-    perLayer[std::size_t(layer)] = decomposeTrimLayer(cfs, rules).report;
+    perLayer[std::size_t(layer)] =
+        decomposeTrimLayer(model.coloredFragmentsInWindow(
+                               layer, Rect{0, 0, grid.width(), grid.height()}),
+                           rules)
+            .report;
   });
   for (const TrimReport& t : perLayer) {
     result.physical.sideOverlayNm += t.sideOverlayNm;

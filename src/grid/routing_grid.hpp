@@ -52,6 +52,13 @@ class RoutingGrid {
   std::size_t index(const GridNode& n) const {
     return (std::size_t(n.layer) * height_ + n.y) * width_ + n.x;
   }
+  /// Inverse of index().
+  GridNode nodeAt(std::size_t idx) const {
+    const std::size_t plane = std::size_t(width_) * std::size_t(height_);
+    const std::size_t rem = idx % plane;
+    return {Track(rem % std::size_t(width_)), Track(rem / std::size_t(width_)),
+            std::int16_t(idx / plane)};
+  }
   std::size_t nodeCount() const {
     return std::size_t(layers_) * height_ * width_;
   }

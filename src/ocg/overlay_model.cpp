@@ -161,6 +161,15 @@ std::vector<Fragment> OverlayModel::fragmentsInWindow(
   return out;
 }
 
+std::vector<ColoredFragment> OverlayModel::coloredFragmentsInWindow(
+    int layer, const Rect& trackWindow, NetId skip) const {
+  std::vector<ColoredFragment> out;
+  for (const Fragment& f : fragmentsInWindow(layer, trackWindow)) {
+    if (f.net != skip) out.push_back({f, maskColor(f.net, layer)});
+  }
+  return out;
+}
+
 std::int64_t OverlayModel::totalOverlayUnits() const {
   std::int64_t total = 0;
   for (const OverlayConstraintGraph& g : graphs_) {

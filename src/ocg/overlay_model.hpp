@@ -84,6 +84,10 @@ class OverlayModel {
   /// All live fragments intersecting a track-space window on a layer.
   std::vector<Fragment> fragmentsInWindow(int layer,
                                           const Rect& trackWindow) const;
+  /// fragmentsInWindow() in the same (index-query) order, each with its
+  /// maskColor(), leaving out the fragments of `skip`.
+  std::vector<ColoredFragment> coloredFragmentsInWindow(
+      int layer, const Rect& trackWindow, NetId skip = kInvalidNet) const;
 
   /// All scenario hits currently alive on a layer (for diagnostics/tests).
   const std::vector<ScenarioHit>& hits(int layer) const {
@@ -102,6 +106,12 @@ class OverlayModel {
   /// Net color on a layer (segments of one net may differ across layers).
   Color colorOf(NetId net, int layer) const {
     return graphs_[layer].colorOf(net);
+  }
+  /// The mask a net's fragments print on: its color, with an uncolored
+  /// (Unassigned) net printing on Core. The only home of that rule.
+  Color maskColor(NetId net, int layer) const {
+    const Color c = colorOf(net, layer);
+    return c == Color::Unassigned ? Color::Core : c;
   }
 
  private:

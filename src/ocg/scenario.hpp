@@ -125,6 +125,12 @@ struct Fragment {
 
 std::ostream& operator<<(std::ostream& os, const Fragment& f);
 
+/// One colored wire fragment to decompose (sadp/decompose.hpp).
+struct ColoredFragment {
+  Fragment frag;
+  Color color = Color::Core;
+};
+
 /// Track-space separation of two half-open index ranges: 0 if the ranges
 /// share a track, else the number of track pitches between nearest tracks
 /// (adjacent tracks -> 1).

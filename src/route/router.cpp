@@ -16,7 +16,6 @@ namespace {
 
 constexpr int kMaxRipUp = 3;        ///< rip-up & re-route iterations per net
 constexpr int kFlipThreshold = 10;  ///< f_threshold (units of w_line)
-constexpr float kRipUpPenalty = 6.0f;  ///< IncreaseCost() delta per cell
 /// Negotiation present cost per extra sharer of a cell.
 constexpr float kPresentFactor = 2.0f;
 
@@ -219,14 +218,14 @@ void OverlayAwareRouter::tearDownNet(const Net& net) {
   releasePath(net);
 }
 
-DecomposeOptions OverlayAwareRouter::internalDecomposeOpts() const {
-  DecomposeOptions o;
-  o.ctx = ctx_;
-  o.cache = opts_.maskCache;
+DecomposeOptions OverlayAwareRouter::bindDecomposeOpts(
+    DecomposeOptions o) const {
+  if (o.ctx == nullptr) o.ctx = ctx_;
+  if (o.cache == nullptr) o.cache = opts_.maskCache;
   // The SADP backend's synthId routes to the built-in pipeline and keys
-  // the cache identically to a null synth, so setting it unconditionally
-  // is byte-neutral at k = 2.
-  o.synth = backend_;
+  // the cache identically to a null synth, so binding it is byte-neutral
+  // at k = 2.
+  if (o.synth == nullptr) o.synth = backend_;
   return o;
 }
 
@@ -331,86 +330,6 @@ std::optional<AStarResult> OverlayAwareRouter::memoSearch(
   entry.result = res;
   opts_.memo->commit(net, std::move(entry));
   return res;
-}
-
-int OverlayAwareRouter::resolveCutConflicts(const Net& net) {
-  SADP_SPAN_ARG("router.cut_check", net.id);
-  const Track w = opts_.cutCheckWindowTracks;
-  int bestConflicts = 0;
-  for (int layer = 0; layer < grid_->layers(); ++layer) {
-    const std::vector<Fragment> own = model_.netFragments(net.id, layer);
-    if (own.empty()) continue;
-    Rect window;
-    for (const Fragment& f : own) {
-      window = window.unionWith(Rect{f.xlo, f.ylo, f.xhi, f.yhi});
-    }
-    window = window.inflated(w);
-    OverlayConstraintGraph& g = model_.graph(layer);
-    const Color original = g.colorOf(net.id);
-
-    auto windowFrags = [&](bool includeNet) {
-      std::vector<ColoredFragment> frags;
-      for (const Fragment& f : model_.fragmentsInWindow(layer, window)) {
-        if (!includeNet && f.net == net.id) continue;
-        Color fc = g.colorOf(f.net);
-        if (fc == Color::Unassigned) fc = Color::Core;
-        frags.push_back({f, fc});
-      }
-      return frags;
-    };
-    // Attribution: count only conflict boxes near the net's own metal, and
-    // only the increase over the same count without the net (pre-existing
-    // conflicts elsewhere must not block it).
-    const Nm pitch = grid_->rules().pitch();
-    std::vector<Rect> ownNm;
-    for (const Fragment& f : own) {
-      ownNm.push_back(Rect{f.xlo * pitch, f.ylo * pitch, f.xhi * pitch,
-                           f.yhi * pitch}
-                          .inflated(2 * pitch));
-    }
-    auto nearOwn = [&](const LayerDecomposition& d) {
-      int n = 0;
-      for (const Rect& box : d.conflictBoxesNm) {
-        for (const Rect& o : ownNm) {
-          if (o.overlaps(box)) {
-            ++n;
-            break;
-          }
-        }
-      }
-      return n;
-    };
-    const int baseline = nearOwn(
-        *decomposeLayerShared(windowFrags(false), grid_->rules(),
-                              internalDecomposeOpts()));
-    auto conflictsUnder = [&](Color c) {
-      g.setColor(net.id, c);
-      const auto d = decomposeLayerShared(
-          windowFrags(true), grid_->rules(), internalDecomposeOpts());
-      return std::max(0, nearOwn(*d) - baseline);
-    };
-
-    const Color base = original == Color::Unassigned ? Color::Core : original;
-    int conflicts = conflictsUnder(base);
-    if (conflicts > 0) {
-      // Try every alternative color in index order, keep the best. At
-      // k = 2 this is exactly the old single flippedColor(base) probe --
-      // same decompose call sequence, same cache hit/miss counters.
-      Color best = base;
-      for (int ci = 0; ci < g.colorCount() && conflicts > 0; ++ci) {
-        const Color alt = colorFromIndex(ci);
-        if (alt == base) continue;
-        const int altConflicts = conflictsUnder(alt);
-        if (altConflicts < conflicts) {
-          conflicts = altConflicts;
-          best = alt;
-        }
-      }
-      g.setColor(net.id, best);
-    }
-    bestConflicts += conflicts;
-  }
-  return bestConflicts;
 }
 
 bool OverlayAwareRouter::routeNet(const Net& net, bool freshPenaltyField) {
@@ -667,12 +586,7 @@ void OverlayAwareRouter::negotiationPhase(
       // permanently more expensive. Ascending-index iteration keeps the
       // accumulation order (and float sums) deterministic.
       for (const std::size_t idx : grid_->overflowedCells()) {
-        const std::size_t planeCells =
-            std::size_t(grid_->width()) * std::size_t(grid_->height());
-        const std::size_t rem = idx % planeCells;
-        const GridNode n{Track(rem % std::size_t(grid_->width())),
-                         Track(rem / std::size_t(grid_->width())),
-                         std::int16_t(idx / planeCells)};
+        const GridNode n = grid_->nodeAt(idx);
         grid_->addHistory(n, opts_.historyIncrement);
         negField.add(n, opts_.historyIncrement);
       }
@@ -688,15 +602,7 @@ void OverlayAwareRouter::negotiationPhase(
   negBaseCells_.clear();
   for (std::size_t idx = 0; idx < grid_->nodeCount(); ++idx) {
     const float h = grid_->historyAtIndex(idx);
-    if (h == 0.0f) continue;
-    const std::size_t planeCells =
-        std::size_t(grid_->width()) * std::size_t(grid_->height());
-    const std::size_t rem = idx % planeCells;
-    negBaseCells_.push_back(
-        {GridNode{Track(rem % std::size_t(grid_->width())),
-                  Track(rem / std::size_t(grid_->width())),
-                  std::int16_t(idx / planeCells)},
-         h});
+    if (h != 0.0f) negBaseCells_.push_back({grid_->nodeAt(idx), h});
   }
   grid_->clearCongestion();
 }
@@ -756,227 +662,15 @@ RoutingStats OverlayAwareRouter::run() {
   return stats_;
 }
 
-int OverlayAwareRouter::repairViolations(int maxPasses) {
-  RunContext::Scope bind(*ctx_);
-  SADP_SPAN("router.repair");
-  const DesignRules& rules = grid_->rules();
-  const Nm pitch = rules.pitch();
-  for (int pass = 0; pass < maxPasses; ++pass) {
-    SADP_SPAN_ARG("router.repair_pass", pass);
-    bool changed = false;
-    // Pass-start snapshots: all layers decompose in parallel. A snapshot is
-    // only valid while no repair action has mutated colors or routes since
-    // the pass started; `dirty` tracks that conservatively (set on every
-    // attempted reroute/teardown, not only kept ones, because a failed
-    // reroute still re-colors the restored net).
-    bool dirty = false;
-    std::vector<std::shared_ptr<const LayerDecomposition>> snapshots(
-        std::size_t(grid_->layers()));
-    parallelFor(*ctx_, grid_->layers(), [&](int l) {
-      SADP_SPAN_ARG("repair.snapshot_layer", l);
-      snapshots[std::size_t(l)] = decomposeShared(l);
-    });
-    for (int layer = 0; layer < grid_->layers(); ++layer) {
-      const std::shared_ptr<const LayerDecomposition> full =
-          dirty ? decomposeShared(layer) : snapshots[std::size_t(layer)];
-      std::vector<Rect> boxes = full->conflictBoxesNm;
-      boxes.insert(boxes.end(), full->hardOverlayBoxesNm.begin(),
-                   full->hardOverlayBoxesNm.end());
-      if (boxes.empty()) continue;
-      OverlayConstraintGraph& g = model_.graph(layer);
-      for (const Rect& boxNm : boxes) {
-        const Rect windowTr{
-            Track(boxNm.xlo / pitch - 8), Track(boxNm.ylo / pitch - 8),
-            Track(boxNm.xhi / pitch + 9), Track(boxNm.yhi / pitch + 9)};
-        auto localViolations = [&]() {
-          std::vector<ColoredFragment> frags;
-          for (const Fragment& f :
-               model_.fragmentsInWindow(layer, windowTr)) {
-            Color fc = g.colorOf(f.net);
-            if (fc == Color::Unassigned) fc = Color::Core;
-            frags.push_back({f, fc});
-          }
-          const OverlayReport r =
-              decomposeLayerShared(frags, rules, internalDecomposeOpts())
-                  ->report;
-          return r.cutConflicts() + r.hardOverlays;
-        };
-        int current = localViolations();
-        if (current == 0) continue;  // fixed by a previous repair
-
-        // Stage 1: color flips of involved nets.
-        std::vector<NetId> candidates;
-        const Rect tightTr{
-            Track(boxNm.xlo / pitch - 1), Track(boxNm.ylo / pitch - 1),
-            Track(boxNm.xhi / pitch + 2), Track(boxNm.yhi / pitch + 2)};
-        for (const Fragment& f : model_.fragmentsInWindow(layer, tightTr)) {
-          if (std::find(candidates.begin(), candidates.end(), f.net) ==
-              candidates.end()) {
-            candidates.push_back(f.net);
-          }
-        }
-        for (NetId n : candidates) {
-          const Color before = g.colorOf(n);
-          const Color base = before == Color::Unassigned ? Color::Core
-                                                         : before;
-          // Try every alternative class color in index order; keep the
-          // first improvement. At k = 2 the only alternative is
-          // flippedColor(base), the old single-flip behavior.
-          bool improved = false;
-          for (int ci = 0; ci < g.colorCount(); ++ci) {
-            const Color alt = colorFromIndex(ci);
-            if (alt == base) continue;
-            g.setColor(n, alt);
-            // Class-wide legality: the flip moves every hard-classmate.
-            if (g.classOverlayUnits(n) >= kHardCost) {
-              g.setColor(n, base);
-              continue;
-            }
-            const int after = localViolations();
-            if (after < current) {
-              current = after;
-              changed = true;
-              dirty = true;
-              counters_.repairFlips->add(1);
-              improved = true;
-              break;
-            }
-            g.setColor(n, base);
-          }
-          if (improved && current == 0) break;
-        }
-        if (current == 0) continue;
-
-        // Stage 2: targeted rip-up & re-route of one involved net.
-        std::sort(candidates.begin(), candidates.end(),
-                  [&](NetId a, NetId b) {
-                    return states_[a].path.size() < states_[b].path.size();
-                  });
-        bool fixed = false;
-        for (NetId n : candidates) {
-          if (!states_[n].routed) continue;
-          dirty = true;  // a failed reroute still re-colors the restored net
-          if (rerouteAway(netlist_->nets[n], tightTr, layer)) {
-            changed = true;
-            fixed = true;
-            counters_.repairReroutes->add(1);
-            break;
-          }
-        }
-        if (fixed || pass + 1 < maxPasses) continue;
-
-        // Stage 3 (last pass only): the paper strictly forbids cut
-        // conflicts -- sacrifice the cheapest involved net rather than
-        // ship a conflicting layout. A teardown can also expose neighbors
-        // (their spacer provider disappears), so it must prove itself.
-        if (opts_.sacrificeForZeroConflicts) {
-          for (NetId n : candidates) {
-            if (!states_[n].routed) continue;
-            const int before = localViolations();
-            const std::vector<GridNode> oldPath = states_[n].path;
-            dirty = true;  // restoreNet re-colors through pseudo-coloring
-            tearDownNet(netlist_->nets[n]);
-            if (localViolations() < before) {
-              changed = true;
-              counters_.repairSacrifices->add(1);
-              break;
-            }
-            restoreNet(netlist_->nets[n], oldPath);
-          }
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  std::vector<int> remainingPerLayer(std::size_t(grid_->layers()), 0);
-  parallelFor(*ctx_, grid_->layers(), [&](int layer) {
-    SADP_SPAN_ARG("repair.signoff_layer", layer);
-    const auto d = decomposeShared(layer);
-    remainingPerLayer[std::size_t(layer)] =
-        d->report.cutConflicts() + d->report.hardOverlays;
-  });
-  int remaining = 0;
-  for (const int r : remainingPerLayer) remaining += r;
-  return remaining;
-}
-
-bool OverlayAwareRouter::rerouteAway(const Net& net, const Rect& avoidTr,
-                                     int layer) {
-  SADP_SPAN_ARG("router.reroute_away", net.id);
-  NetRouteState& st = states_[net.id];
-  if (!st.routed) return false;
-  const std::vector<GridNode> oldPath = st.path;
-
-  // Local sign-off metric: violations inside the conflict window must
-  // strictly decrease, or the old route is restored.
-  auto localViol = [&]() {
-    const Rect windowTr = avoidTr.inflated(8);
-    int total = 0;
-    for (int l = 0; l < grid_->layers(); ++l) {
-      std::vector<ColoredFragment> frags;
-      for (const Fragment& f : model_.fragmentsInWindow(l, windowTr)) {
-        Color fc = model_.graph(l).colorOf(f.net);
-        if (fc == Color::Unassigned) fc = Color::Core;
-        frags.push_back({f, fc});
-      }
-      const OverlayReport r =
-          decomposeLayerShared(frags, grid_->rules(), internalDecomposeOpts())
-              ->report;
-      total += r.cutConflicts() + r.hardOverlays;
-    }
-    return total;
-  };
-  const int before = localViol();
-
-  tearDownNet(net);
-  clearRipUpField();
-  for (Track y = avoidTr.ylo; y < avoidTr.yhi; ++y) {
-    for (Track x = avoidTr.xlo; x < avoidTr.xhi; ++x) {
-      addRipUpPenalty({x, y, std::int16_t(layer)}, 25.0f * kRipUpPenalty);
-    }
-  }
-  if (routeNet(net, /*freshPenaltyField=*/false)) {
-    if (localViol() < before) return true;
-    tearDownNet(net);  // new route is not an improvement: roll back
-  }
-
-  restoreNet(net, oldPath);
-  return false;
-}
-
-void OverlayAwareRouter::restoreNet(const Net& net,
-                                    const std::vector<GridNode>& oldPath) {
-  // Re-color through pseudo-coloring (forcing previously captured colors
-  // could violate hard classes that changed meanwhile).
-  NetRouteState& st = states_[net.id];
-  st.path = oldPath;
-  occupyPath(net);
-  model_.addNet(net.id, st.path);
-  model_.pseudoColor(net.id);
-  applyT2bMarks(net.id, +1.0f);
-  st.vias = 0;
-  st.wirelength = std::int64_t(st.path.size()) - 1;
-  for (std::size_t i = 1; i < st.path.size(); ++i) {
-    if (st.path[i].layer != st.path[i - 1].layer) {
-      ++st.vias;
-      --st.wirelength;
-    }
-  }
-  stats_.vias += st.vias;
-  stats_.wirelength += st.wirelength;
-  ++stats_.routedNets;
-  st.routed = true;
-}
-
 std::vector<ColoredFragment> OverlayAwareRouter::coloredFragments(
     int layer) const {
+  // Net-id order, not index-query order: MaskCache keys hash the
+  // fragment sequence, so this order is part of the cache contract.
   std::vector<ColoredFragment> out;
-  const OverlayConstraintGraph& g = model_.graph(layer);
   for (const Net& net : netlist_->nets) {
     if (!states_[net.id].routed) continue;
+    const Color c = model_.maskColor(net.id, layer);
     for (const Fragment& f : model_.netFragments(net.id, layer)) {
-      Color c = g.colorOf(net.id);
-      if (c == Color::Unassigned) c = Color::Core;
       out.push_back({f, c});
     }
   }
@@ -985,20 +679,14 @@ std::vector<ColoredFragment> OverlayAwareRouter::coloredFragments(
 
 LayerDecomposition OverlayAwareRouter::decompose(
     int layer, const DecomposeOptions& opts) const {
-  DecomposeOptions o = opts;
-  if (o.ctx == nullptr) o.ctx = ctx_;
-  if (o.cache == nullptr) o.cache = opts_.maskCache;
-  if (o.synth == nullptr) o.synth = backend_;
-  return decomposeLayer(coloredFragments(layer), grid_->rules(), o);
+  return decomposeLayer(coloredFragments(layer), grid_->rules(),
+                        bindDecomposeOpts(opts));
 }
 
 std::shared_ptr<const LayerDecomposition> OverlayAwareRouter::decomposeShared(
     int layer, const DecomposeOptions& opts) const {
-  DecomposeOptions o = opts;
-  if (o.ctx == nullptr) o.ctx = ctx_;
-  if (o.cache == nullptr) o.cache = opts_.maskCache;
-  if (o.synth == nullptr) o.synth = backend_;
-  return decomposeLayerShared(coloredFragments(layer), grid_->rules(), o);
+  return decomposeLayerShared(coloredFragments(layer), grid_->rules(),
+                              bindDecomposeOpts(opts));
 }
 
 OverlayReport OverlayAwareRouter::physicalReport(

@@ -13,7 +13,9 @@
 //
 // The cut-conflict check is a windowed run of the bitmap mask synthesizer
 // around the new net (both color choices are tried); the full-chip
-// decomposition after routing is the sign-off measurement.
+// decomposition after routing is the sign-off measurement. The primary
+// loop, the search memo and negotiation live in router.cpp; the cut check
+// and the repair loop live in repair.cpp.
 #pragma once
 
 #include <memory>
@@ -226,22 +228,29 @@ class OverlayAwareRouter {
   /// tracks the exact event sequence (SearchMemoKey::penaltyHistory).
   void addRipUpPenalty(const GridNode& n, float delta);
   void clearRipUpField();
-  /// DecomposeOptions for router-internal decomposeLayer calls: binds
-  /// ctx_ and the shared mask cache.
-  DecomposeOptions internalDecomposeOpts() const;
-  /// Rips up a routed net and re-routes it away from `avoidTr` (track box
-  /// on `layer`); restores the old route if no better one is found.
-  bool rerouteAway(const Net& net, const Rect& avoidTr, int layer);
-  /// Counts window-local cut conflicts attributable to `net` under its
-  /// current colors; tries the flipped color when conflicts appear.
-  int resolveCutConflicts(const Net& net);
+  /// Fills the null ctx/cache/synth of `o` with this router's context,
+  /// mask cache and backend; every router decompose binds through it.
+  DecomposeOptions bindDecomposeOpts(DecomposeOptions o = {}) const;
   void applyT2bMarks(NetId net, float delta);
   void occupyPath(const Net& net);
   void releasePath(const Net& net);
   void penalizeHardHits(const std::vector<ScenarioHit>& hits);
   void tearDownNet(const Net& net);
+
+  // Cut check and repair (route/repair.cpp).
+  /// Cut conflicts plus hard overlays of one layer's decomposition inside
+  /// a track-space window: the local meter of repair and rerouteAway.
+  int windowViolations(int layer, const Rect& windowTr) const;
+  /// Counts window-local cut conflicts attributable to `net` under its
+  /// current colors; tries the flipped color when conflicts appear.
+  int resolveCutConflicts(const Net& net);
+  /// Rips up a routed net and re-routes it away from `avoidTr` (track box
+  /// on `layer`); restores the old route if no better one is found.
+  bool rerouteAway(const Net& net, const Rect& avoidTr, int layer);
   /// Re-installs a previously torn-down route verbatim.
   void restoreNet(const Net& net, const std::vector<GridNode>& oldPath);
+
+  static constexpr float kRipUpPenalty = 6.0f;  ///< IncreaseCost() delta/cell
 
   /// Per-router (hence per-run) counter handles, resolved once from the
   /// context's registry at construction. Never function-local statics:

@@ -34,12 +34,6 @@ namespace sadp {
 
 class MaskCache;  // sadp/mask_cache.hpp
 
-/// One colored wire fragment to decompose.
-struct ColoredFragment {
-  Fragment frag;
-  Color color = Color::Core;
-};
-
 /// Physical measurement of one decomposed layer.
 struct OverlayReport {
   std::int64_t sideOverlayNm = 0;   ///< total side-overlay length

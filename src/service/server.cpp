@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace sadp {
@@ -507,10 +508,10 @@ bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
       *err = e.what();
       return false;
     }
-    if (const JsonValue* f = req.find("scale"); f && f->isNumber()) {
-      const double scale = f->asDouble();
+    if (const JsonValue* f = req.find("scale"); f != nullptr) {
+      const double scale = f->isNumber() ? f->asDouble() : 0.0;
       if (!(scale > 0.0) || scale > 1.0) {
-        *err = "scale must be in (0, 1]";
+        *err = "scale must be a number in (0, 1]";
         return false;
       }
       *spec = spec->scaled(scale);
@@ -532,14 +533,16 @@ bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
            "' in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
     return false;
   };
-  std::int64_t nets = 0, width = 0, height = 0;
+  std::int64_t nets = 0, width = 0, height = 0, seed = -1;
   std::int64_t layers = spec->layers, pinCandidates = spec->pinCandidates;
   if (!field("nets", 1, kLoadMaxNets, true, &nets) ||
       !field("width", kLoadMinEdge, kLoadMaxEdge, true, &width) ||
       !field("height", kLoadMinEdge, kLoadMaxEdge, true, &height) ||
       !field("layers", 1, kLoadMaxLayers, false, &layers) ||
       !field("pin_candidates", 1, kLoadMaxPinCandidates, false,
-             &pinCandidates)) {
+             &pinCandidates) ||
+      !field("seed", 0, std::numeric_limits<std::int64_t>::max(), false,
+             &seed)) {
     return false;
   }
   spec->netCount = int(nets);
@@ -547,7 +550,7 @@ bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
   spec->height = Track(height);
   spec->layers = int(layers);
   spec->pinCandidates = int(pinCandidates);
-  if (const auto v = intField(req, "seed")) spec->seed = std::uint64_t(*v);
+  if (seed >= 0) spec->seed = std::uint64_t(seed);  // -1: absent
   return true;
 }
 

@@ -136,6 +136,42 @@ TEST(OverlayModel, FragmentsInWindow) {
   EXPECT_EQ(all.size(), 2u);
 }
 
+TEST(OverlayModel, ColoredFragmentsInWindowKeepIndexOrder) {
+  OverlayModel m(3, 50, 50);
+  m.addNet(3, hPath(0, 10, 2));
+  m.addNet(1, hPath(0, 10, 10));
+  m.addNet(2, hPath(0, 10, 18));   // stays uncolored
+  m.addNet(4, hPath(30, 40, 40));  // outside the window
+  m.graph(0).setColor(1, Color::Second);
+  m.graph(0).setColor(3, Color::Second);
+  ASSERT_EQ(m.colorOf(2, 0), Color::Unassigned);
+  EXPECT_EQ(m.maskColor(2, 0), Color::Core);
+  EXPECT_EQ(m.maskColor(1, 0), Color::Second);
+
+  const Rect window{0, 0, 20, 20};
+  const std::vector<Fragment> plain = m.fragmentsInWindow(0, window);
+  ASSERT_EQ(plain.size(), 3u);  // nets 1-3; net 4 is outside
+  const std::vector<ColoredFragment> all =
+      m.coloredFragmentsInWindow(0, window);
+  ASSERT_EQ(all.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(all[i].frag, plain[i]);
+    EXPECT_EQ(all[i].color, m.maskColor(plain[i].net, 0));
+  }
+
+  // Skipping a net drops its fragments and keeps the others' order.
+  std::vector<Fragment> expected;
+  for (const Fragment& f : plain) {
+    if (f.net != 3) expected.push_back(f);
+  }
+  const std::vector<ColoredFragment> skipped =
+      m.coloredFragmentsInWindow(0, window, 3);
+  ASSERT_EQ(skipped.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(skipped[i].frag, expected[i]);
+  }
+}
+
 TEST(OverlayModel, MultiLayerNetColorsIndependently) {
   OverlayModel m(3, 50, 50);
   std::vector<GridNode> p = hPath(0, 10, 5, 0);

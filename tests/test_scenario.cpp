@@ -90,15 +90,9 @@ TEST(Classify, Type1a_VerticalPair) {
 TEST(Classify, Type1b_TipToSideAdjacent) {
   // Vertical wire B whose top tip stops one track below horizontal wire A.
   const Fragment a = hw(1, 0, 10, 5);
-  const Fragment b = vw(2, 4, 0, 4);  // rows [0,4), tip at row 3; gap=2?
-  // trackGap y: [5,6) vs [0,4): 5-4+1 = 2 -> that is T2b. Use rows [0,5).
-  const Fragment b1 = vw(2, 4, 0, 4);
-  (void)b1;
-  const Fragment bAdj = vw(2, 4, 0, 4 + 0);  // keep clarity below
-  (void)bAdj;
-  const Fragment tip1 = vw(2, 4, 0, 4);      // gap 2
+  const Fragment tip1 = vw(2, 4, 0, 4);  // gap 2: [5,6) vs [0,4) -> T2b
   EXPECT_EQ(classify(a, tip1).type, ScenarioType::T2b);
-  const Fragment tip2 = vw(2, 4, 0, 5);      // gap 1: [5,6) vs [0,5) -> 1
+  const Fragment tip2 = vw(2, 4, 0, 5);  // gap 1: [5,6) vs [0,5) -> 1
   const Classification c = classify(a, tip2);
   EXPECT_EQ(c.type, ScenarioType::T1b);
   EXPECT_TRUE(c.hard());

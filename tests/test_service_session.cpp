@@ -89,11 +89,13 @@ TEST(LoadSpec, AcceptsExplicitAndPaperDesigns) {
   // The upper bounds themselves are admitted.
   spec = {};
   ASSERT_TRUE(loadSpec(R"({"nets":100000,"width":2048,"height":2048,)"
-                       R"("layers":16,"pin_candidates":25})",
+                       R"("layers":16,"pin_candidates":25,)"
+                       R"("seed":9223372036854775807})",
                        &spec, &err))
       << err;
   EXPECT_EQ(spec.netCount, int(kLoadMaxNets));
   EXPECT_EQ(spec.width, Track(kLoadMaxEdge));
+  EXPECT_EQ(spec.seed, 9223372036854775807u);
   // Paper benchmarks keep their own size and name.
   spec = {};
   ASSERT_TRUE(loadSpec(R"({"benchmark":"Test5"})", &spec, &err)) << err;
@@ -123,6 +125,12 @@ TEST(LoadSpec, RejectsOutOfRangeInsteadOfNarrowing) {
       R"({"width":64,"height":64})",
       R"({"benchmark":"Test99"})",
       R"({"benchmark":"Test1","scale":2})",
+      R"({"benchmark":"Test1","scale":"0.5"})",
+      R"({"benchmark":"Test1","scale":null})",
+      R"({"nets":10,"width":64,"height":64,"seed":-1})",
+      R"({"nets":10,"width":64,"height":64,"seed":"7"})",
+      R"({"nets":10,"width":64,"height":64,"seed":7.5})",
+      R"({"nets":10,"width":64,"height":64,"seed":9223372036854775808})",
   };
   for (const char* line : bad) {
     BenchmarkSpec spec;

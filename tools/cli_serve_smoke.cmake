@@ -98,6 +98,14 @@ execute_process(
       --expect-error bad_request
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":\"4\"}' \
       --expect-error bad_request
+    # A present scale or seed of the wrong type or range is rejected, not
+    # ignored or wrapped.
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"benchmark\":\"Test1\",\"scale\":\"0.5\"}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"seed\":-1}' \
+      --expect-error bad_request
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"seed\":\"7\"}' \
+      --expect-error bad_request
     # timeout_ms:0 expires while queued -> deterministic timeout error.
     client req --json '{\"op\":\"route\",\"session\":\"s\",\"timeout_ms\":0}' --expect-error timeout
     # Session cap 2: third load is rejected.
