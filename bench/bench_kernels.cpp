@@ -139,6 +139,31 @@ void BM_ColorFlipChain(benchmark::State& state) {
 }
 BENCHMARK(BM_ColorFlipChain)->Arg(256)->Arg(4096);
 
+/// One flip over many small components (chains of four): the shape a
+/// routed layer has, and the one where a per-component cost that scales
+/// with the whole layer shows up as quadratic time. BM_ColorFlipChain is a
+/// single component and cannot see it.
+void BM_ColorFlipForest(benchmark::State& state) {
+  const int n = int(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    OverlayConstraintGraph g;
+    for (int v = 0; v < n; ++v) {
+      if (v % 4 != 0) {
+        Classification c;
+        c.type = ScenarioType::T3a;
+        c.overlay = {1, 0, 0, 1};
+        g.addScenario(v - 1, v, c);
+      }
+    }
+    for (int v = 0; v < n; ++v) g.setColor(v, Color::Core);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(colorFlip(g));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ColorFlipForest)->Arg(256)->Arg(4096);
+
 /// Triple-patterning recolor (DESIGN.md §5.13) on a path-squared chain of
 /// hard must-differ pairs: one connected class-graph component well past
 /// the exhaustive cutoff, so this times the greedy + local-search path —

@@ -33,6 +33,8 @@ std::uint32_t OverlayConstraintGraph::vertexFor(NetId net) {
   hard_.ensure(v);
   classColor_.push_back(Color::Unassigned);
   classMembers_[v] = {v};
+  dirty_.push_back(0);
+  markDirty(v);
   return v;
 }
 
@@ -80,6 +82,8 @@ bool OverlayConstraintGraph::addScenario(NetId a, NetId b,
   if (!material) return true;
   const std::uint32_t u = vertexFor(a);
   const std::uint32_t v = vertexFor(b);
+  markDirty(u);
+  markDirty(v);
   OcgEdge e;
   e.u = u;
   e.v = v;
@@ -157,6 +161,9 @@ void OverlayConstraintGraph::removeNet(NetId net) {
   auto it = idx_.find(net);
   if (it == idx_.end()) return;
   const std::uint32_t v = it->second;
+  // Each piece the removal splits v's component into holds v or one of
+  // its former neighbours.
+  markDirty(v);
   bool removedHard = false;
   for (std::uint32_t ei : adj_[v]) {
     OcgEdge& e = edges_[ei];
@@ -168,6 +175,7 @@ void OverlayConstraintGraph::removeNet(NetId net) {
     }
     removedHard |= (k_ == 2) ? e.hard() : hardRelationOf(e.cls) >= 0;
     const std::uint32_t other = (e.u == v) ? e.v : e.u;
+    markDirty(other);
     auto& oadj = adj_[other];
     oadj.erase(std::remove(oadj.begin(), oadj.end(), ei), oadj.end());
   }
@@ -252,9 +260,13 @@ Color OverlayConstraintGraph::colorOf(NetId net) const {
 }
 
 void OverlayConstraintGraph::setColor(NetId net, Color c) {
-  const std::uint32_t v = vertexFor(net);
+  setVertexColor(vertexFor(net), c);
+}
+
+void OverlayConstraintGraph::setVertexColor(std::uint32_t v, Color c) {
   auto [root, par] = hard_.find(v);
   classColor_[std::uint32_t(root)] = par ? flippedColor(c) : c;
+  markDirty(v);  // the class is connected, so its component is v's
 }
 
 std::int64_t OverlayConstraintGraph::costOfAssignment(const OcgEdge& e,
@@ -359,6 +371,7 @@ Color OverlayConstraintGraph::pseudoColor(NetId net) {
   }
   const Color rootColor = colorFromIndex(bestIdx);
   classColor_[std::uint32_t(root)] = rootColor;
+  markDirty(v);
   return par ? flippedColor(rootColor) : rootColor;
 }
 
@@ -372,20 +385,17 @@ Color OverlayConstraintGraph::firstFitColor(NetId net) {
     const Color c = colorFromIndex(ci);
     setColor(net, c);
     bool legal = true;
-    forEachEdgeOf(v, [&](std::size_t ei) {
+    for (std::uint32_t ei : adj_[v]) {
       const OcgEdge& e = edges_[ei];
       const Color cu = classColorOf(e.u);
       const Color cv = classColorOf(e.v);
-      if (cu == Color::Unassigned || cv == Color::Unassigned) return;
-      if (k_ > 2 && spec_ && spec_->pairOverlay) {
-        if (spec_->pairOverlay(e.cls, colorIndex(cu), colorIndex(cv)) >=
-            kHardCost) {
-          legal = false;
-        }
-        return;
-      }
-      if (e.cls.overlay[assignmentIndex(cu, cv)] >= kHardCost) legal = false;
-    });
+      if (cu == Color::Unassigned || cv == Color::Unassigned) continue;
+      const std::int64_t overlay =
+          (k_ > 2 && spec_ && spec_->pairOverlay)
+              ? spec_->pairOverlay(e.cls, colorIndex(cu), colorIndex(cv))
+              : e.cls.overlay[assignmentIndex(cu, cv)];
+      legal &= overlay < kHardCost;
+    }
     if (legal) return c;
   }
   setColor(net, Color::Core);  // nothing legal: first-fit falls back
@@ -395,6 +405,7 @@ Color OverlayConstraintGraph::firstFitColor(NetId net) {
 void OverlayConstraintGraph::setPrior(NetId net, std::int64_t corePrior,
                                       std::int64_t secondPrior) {
   const std::uint32_t v = vertexFor(net);
+  markDirty(v);
   if (corePrior == 0 && secondPrior == 0) {
     priors_.erase(v);
   } else {
@@ -467,13 +478,6 @@ int OverlayConstraintGraph::cutRiskCount() const {
   return n;
 }
 
-void OverlayConstraintGraph::forEachEdgeOf(
-    std::uint32_t vertex, const std::function<void(std::size_t)>& fn) const {
-  for (std::uint32_t ei : adj_[vertex]) {
-    if (edges_[ei].alive) fn(ei);
-  }
-}
-
 std::pair<std::uint32_t, std::uint8_t> OverlayConstraintGraph::hardClassOf(
     std::uint32_t v) const {
   auto [root, par] = hard_.find(v);
@@ -484,10 +488,27 @@ void OverlayConstraintGraph::applyColors(const std::vector<Color>& colors) {
   assert(colors.size() <= nets_.size());
   for (std::uint32_t v = 0; v < colors.size(); ++v) {
     if (colors[v] == Color::Unassigned) continue;
-    auto [root, par] = hard_.find(v);
-    classColor_[std::uint32_t(root)] =
-        par ? flippedColor(colors[v]) : colors[v];
+    setVertexColor(v, colors[v]);
   }
+}
+
+const std::vector<std::uint32_t>&
+OverlayConstraintGraph::closeDirtyComponents() {
+  // Breadth-first over alive edges (adj_ holds no dead ones); the list is
+  // its own queue and the flags its visited set.
+  for (std::size_t i = 0; i < dirtyList_.size(); ++i) {
+    for (std::uint32_t ei : adj_[dirtyList_[i]]) {
+      markDirty(edges_[ei].u);
+      markDirty(edges_[ei].v);
+    }
+  }
+  std::sort(dirtyList_.begin(), dirtyList_.end());
+  return dirtyList_;
+}
+
+void OverlayConstraintGraph::clearDirty() {
+  for (std::uint32_t v : dirtyList_) dirty_[v] = 0;
+  dirtyList_.clear();
 }
 
 }  // namespace sadp

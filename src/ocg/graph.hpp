@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory_resource>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -90,9 +90,15 @@ class OverlayConstraintGraph {
   // -- Coloring ------------------------------------------------------------
 
   Color colorOf(NetId net) const;
+  /// Color of a vertex (its class color through its parity).
+  Color vertexColor(std::uint32_t vertex) const {
+    return classColorOf(vertex);
+  }
   /// Assigns the color of `net`; the whole hard-connected class moves with
   /// it so hard constraints stay satisfied by construction.
   void setColor(NetId net, Color c);
+  /// setColor by vertex handle.
+  void setVertexColor(std::uint32_t vertex, Color c);
   bool isColored(NetId net) const { return colorOf(net) != Color::Unassigned; }
 
   /// Pseudo-coloring (Algorithm 1 line 11): picks the class color for
@@ -136,9 +142,10 @@ class OverlayConstraintGraph {
   // -- Introspection for the color-flipping engine --------------------------
 
   const std::pmr::vector<OcgEdge>& edges() const { return edges_; }
-  /// Calls fn(edgeIndex) for every alive edge incident to a vertex.
-  void forEachEdgeOf(std::uint32_t vertex,
-                     const std::function<void(std::size_t)>& fn) const;
+  /// Indices of the alive edges incident to a vertex, in insertion order.
+  std::span<const std::uint32_t> incidentEdges(std::uint32_t vertex) const {
+    return adj_[vertex];
+  }
   /// Hard-class representative and parity of a vertex (const lookup).
   std::pair<std::uint32_t, std::uint8_t> hardClassOf(std::uint32_t v) const;
   const std::vector<NetId>& vertexNets() const { return nets_; }
@@ -146,6 +153,20 @@ class OverlayConstraintGraph {
   /// Applies colors computed externally (color flipping): colors[i] is the
   /// color for vertex i; Unassigned entries are left untouched.
   void applyColors(const std::vector<Color>& colors);
+
+  // -- Dirty tracking for local flipping (DESIGN.md §5.4/5.5) --------------
+  //
+  // Every call that can change a flip's input -- a vertex, an edge, a hard
+  // class, a color or a prior -- marks a vertex of each connected component
+  // (over alive edges) it touches. A flip that leaves a component alone is
+  // a fixed point, so colorFlip only needs the components holding a dirty
+  // vertex.
+
+  /// Grows the dirty set to every connected component that holds a dirty
+  /// vertex and returns it in ascending vertex order.
+  const std::vector<std::uint32_t>& closeDirtyComponents();
+  /// Empties the dirty set (colorFlip calls this once its colors are in).
+  void clearDirty();
 
  private:
   std::int64_t costOfAssignment(const OcgEdge& e, Color cu, Color cv) const;
@@ -161,6 +182,11 @@ class OverlayConstraintGraph {
   /// 1 differ. For k == 2 this is hardParity(); for k >= 3 it defers to
   /// spec_->hardRelation.
   int hardRelationOf(const Classification& cls) const;
+  void markDirty(std::uint32_t vertex) {
+    if (dirty_[vertex]) return;
+    dirty_[vertex] = 1;
+    dirtyList_.push_back(vertex);
+  }
 
   std::vector<NetId> nets_;                       // vertex -> net
   std::unordered_map<NetId, std::uint32_t> idx_;  // net -> vertex
@@ -189,6 +215,10 @@ class OverlayConstraintGraph {
   const PatterningSpec* spec_ = nullptr;
   int k_ = 2;
   int hardViolations_ = 0;
+  /// Per-vertex dirty flag and the flagged vertices (each at most once, so
+  /// the list stays bounded when a backend never clears it).
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::uint32_t> dirtyList_;
 
   /// Test-only access (tests/test_graph_fuzz.cpp keeps the from-scratch
   /// rebuild there as the oracle for removeNet).

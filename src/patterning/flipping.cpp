@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory_resource>
+#include <numeric>
+#include <span>
 
 #include "ocg/overlay_model.hpp"
 #include "run/run_context.hpp"
+#include "trace/metrics.hpp"
 #include "util/arena.hpp"
 
 namespace sadp {
@@ -14,6 +16,7 @@ namespace sadp {
 namespace {
 
 constexpr std::int64_t kHardWeight = std::int64_t(kHardCost) * 16;
+constexpr std::uint32_t kNone = ~std::uint32_t(0);
 
 std::int64_t entryCost(const Classification& cls, int idx) {
   std::int64_t c = cls.overlay[idx];
@@ -21,68 +24,109 @@ std::int64_t entryCost(const Classification& cls, int idx) {
   return c;
 }
 
-}  // namespace
-
-ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
-  ReducedGraph rg;
-  const std::size_t n = g.vertexCount();
-  rg.classIndexOfVertex.resize(n);
-  rg.parityOfVertex.resize(n);
-
-  // Dense-index the class roots.
-  std::unordered_map<std::uint32_t, std::uint32_t> rootToClass;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    auto [root, par] = g.hardClassOf(v);
-    auto [it, inserted] =
-        rootToClass.try_emplace(root, std::uint32_t(rootToClass.size()));
-    rg.classIndexOfVertex[v] = it->second;
-    rg.parityOfVertex[v] = par;
-    if (inserted) rg.classColor.push_back(Color::Unassigned);
+/// Open-addressing map from an ordered class pair to its reduced edge,
+/// sized once for `maxKeys` insertions and bump-allocated from the arena.
+class PairIndex {
+ public:
+  PairIndex(Arena& a, std::size_t maxKeys) {
+    while (cap_ < 2 * maxKeys) cap_ *= 2;
+    keys_ = a.allocArray<std::uint64_t>(cap_);
+    vals_ = a.allocArray<std::uint32_t>(cap_);
+    std::fill(keys_, keys_ + cap_, kEmpty);
   }
-  // Class color = color of any member XOR its parity; read through roots.
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const Color c = g.colorOf(g.netOf(v));
-    if (c == Color::Unassigned) continue;
-    const Color rootColor = rg.parityOfVertex[v] ? flippedColor(c) : c;
-    rg.classColor[rg.classIndexOfVertex[v]] = rootColor;
+  /// Slot value for (u, v), inserting `fresh` if the pair is new.
+  std::pair<std::uint32_t, bool> tryEmplace(std::uint32_t u, std::uint32_t v,
+                                            std::uint32_t fresh) {
+    const std::uint64_t key = (std::uint64_t(u) << 32) | v;
+    std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> 32 & (cap_ - 1);
+    while (keys_[i] != kEmpty) {
+      if (keys_[i] == key) return {vals_[i], false};
+      i = (i + 1) & (cap_ - 1);
+    }
+    keys_[i] = key;
+    vals_[i] = fresh;
+    return {fresh, true};
   }
 
-  // Aggregate cross-class edges per unordered class pair; intra-class
-  // non-hard edges and per-vertex priors contribute per-class self-costs.
-  rg.selfCost.assign(rg.classColor.size(), {0, 0});
-  for (std::uint32_t v = 0; v < n; ++v) {
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t(0);
+  std::size_t cap_ = 8;
+  std::uint64_t* keys_;
+  std::uint32_t* vals_;
+};
+
+/// Reduces the vertices `verts` -- ascending, and closed under alive edges,
+/// so every class root and edge endpoint met below is among them -- into
+/// `rg`. Classes are indexed in ascending order of their smallest member
+/// and reduced edges in ascending order of their first scenario edge, so a
+/// component comes out in the same relative order whether it is reduced
+/// alone or with the whole layer (DESIGN.md §5.4/5.5).
+void reduceInto(const OverlayConstraintGraph& g,
+                std::span<const std::uint32_t> verts, Arena& arena,
+                ReducedGraph& rg) {
+  // Vertex-indexed scratch, uninitialized except at `verts`: a vertex's
+  // class index (for a root, also its own class's index) and parity.
+  std::uint32_t* classOf = arena.allocArray<std::uint32_t>(g.vertexCount());
+  std::uint8_t* parityOf = arena.allocArray<std::uint8_t>(g.vertexCount());
+  for (std::uint32_t v : verts) classOf[v] = kNone;
+  std::size_t edgeCount = 0;
+  for (std::uint32_t v : verts) {
+    const auto [root, par] = g.hardClassOf(v);
+    if (classOf[root] == kNone) {
+      classOf[root] = std::uint32_t(rg.classRoot.size());
+      rg.classRoot.push_back(root);
+      rg.classColor.push_back(g.vertexColor(root));
+      rg.selfCost.push_back({0, 0});
+    }
+    classOf[v] = classOf[root];
+    parityOf[v] = par;
+    // Per-vertex priors and intra-class non-hard edges contribute
+    // per-class self-costs.
     for (int c = 0; c < 2; ++c) {
-      const Color vc = rg.parityOfVertex[v]
-                           ? flippedColor(Color(c))
-                           : Color(c);
-      rg.selfCost[rg.classIndexOfVertex[v]][c] += g.priorOf(v, vc);
+      const Color vc = par ? flippedColor(Color(c)) : Color(c);
+      rg.selfCost[classOf[v]][c] += g.priorOf(v, vc);
+    }
+    edgeCount += g.incidentEdges(v).size();
+  }
+  edgeCount /= 2;  // every edge sits in both endpoints' adjacency
+
+  std::uint32_t* edgeIds = arena.allocArray<std::uint32_t>(edgeCount);
+  std::size_t m = 0;
+  for (std::uint32_t v : verts) {
+    for (std::uint32_t ei : g.incidentEdges(v)) {
+      if (g.edges()[ei].u == v) edgeIds[m++] = ei;
     }
   }
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> pairIndex;
-  for (const OcgEdge& e : g.edges()) {
-    if (!e.alive) continue;
-    const std::uint32_t cu = rg.classIndexOfVertex[e.u];
-    const std::uint32_t cv = rg.classIndexOfVertex[e.v];
+  assert(m == edgeCount);
+  std::sort(edgeIds, edgeIds + m);
+
+  // Aggregate cross-class edges per unordered class pair (parallel
+  // scenario edges sum their cost vectors).
+  PairIndex pairIndex(arena, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const OcgEdge& e = g.edges()[edgeIds[i]];
+    assert(e.alive);
+    const std::uint32_t cu = classOf[e.u];
+    const std::uint32_t cv = classOf[e.v];
+    const std::uint8_t pu = parityOf[e.u];
+    const std::uint8_t pv = parityOf[e.v];
     if (cu == cv) {
-      const std::uint8_t pu = rg.parityOfVertex[e.u];
-      const std::uint8_t pv = rg.parityOfVertex[e.v];
       for (int c = 0; c < 2; ++c) {
         rg.selfCost[cu][c] += entryCost(e.cls, (c ^ pu) * 2 + (c ^ pv));
       }
       continue;
     }
-    const std::uint8_t pu = rg.parityOfVertex[e.u];
-    const std::uint8_t pv = rg.parityOfVertex[e.v];
     const bool ordered = cu < cv;
-    const auto key = ordered ? std::make_pair(cu, cv) : std::make_pair(cv, cu);
-    auto [it, inserted] = pairIndex.try_emplace(key, rg.edges.size());
+    const auto [idx, inserted] =
+        pairIndex.tryEmplace(ordered ? cu : cv, ordered ? cv : cu,
+                             std::uint32_t(rg.edges.size()));
     if (inserted) {
       ReducedEdge re;
-      re.u = key.first;
-      re.v = key.second;
+      re.u = ordered ? cu : cv;
+      re.v = ordered ? cv : cu;
       rg.edges.push_back(re);
     }
-    ReducedEdge& re = rg.edges[it->second];
+    ReducedEdge& re = rg.edges[idx];
     re.hard |= e.hard();
     // Fold member parities: class assignment (a, b) on (re.u, re.v) means
     // vertex colors (a ^ p, b ^ p'); map to the edge's (u, v) order.
@@ -104,10 +148,7 @@ ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
     }
     re.weight = re.hard ? kHardWeight + (hi - lo) : hi - lo;
   }
-  return rg;
 }
-
-namespace {
 
 /// Plain union-find for component extraction / Kruskal: union by size with
 /// path halving, storage bump-allocated from the run's scratch arena (the
@@ -159,161 +200,221 @@ std::int64_t edgeCostUnder(const ReducedEdge& e, Color cu, Color cv) {
   return e.cost[int(cu) * 2 + int(cv)];
 }
 
-}  // namespace
+/// Flipping-graph DP, eq. (4), on one tree component. The tables span the
+/// whole reduced graph and are allocated once per flip; each solve touches
+/// only its own component's classes.
+class TreeDp {
+ public:
+  TreeDp(Arena& a, const ReducedGraph& rg)
+      : rg_(rg),
+        cost_(a.allocArray<std::array<std::int64_t, 2>>(rg.classCount())),
+        childBest_(a.allocArray<std::array<Color, 2>>(rg.classCount())),
+        seen_(a.allocArray<std::uint8_t>(rg.classCount())),
+        out_(a.allocArray<Color>(rg.classCount())),
+        adjBegin_(a.allocArray<std::uint32_t>(rg.classCount())),
+        adjEnd_(a.allocArray<std::uint32_t>(rg.classCount())),
+        adj_(a.allocArray<std::uint32_t>(2 * rg.classCount())),
+        order_(&a),
+        stack_(&a) {}
 
-std::vector<Color> treeDpAssign(const ReducedGraph& rg,
-                                const std::vector<std::size_t>& treeEdges,
-                                std::size_t rootClass) {
-  std::vector<Color> out(rg.classCount(), Color::Unassigned);
-  // Every DP table below is scratch bump-allocated from the run's arena;
-  // the scope rewind reclaims it wholesale (DESIGN.md §5.9).
-  Arena& arena = RunContext::current().scratchArena();
-  ArenaScope scope(arena);
-  // Adjacency over tree edges.
-  std::pmr::unordered_map<std::uint32_t, std::pmr::vector<std::size_t>> adj(
-      &arena);
-  for (std::size_t ei : treeEdges) {
-    adj[rg.edges[ei].u].push_back(ei);
-    adj[rg.edges[ei].v].push_back(ei);
+  /// Optimal colors of `compClasses`, read back through color(), for the
+  /// spanning tree `treeEdges` (indices into rg.edges) rooted at `root`.
+  void solve(std::span<const std::uint32_t> compClasses,
+             std::span<const std::uint32_t> treeEdges, std::uint32_t root) {
+    // Tree adjacency in CSR form; each class lists its edges in tree-edge
+    // order, which fixes the DFS order below.
+    for (std::uint32_t c : compClasses) {
+      adjEnd_[c] = 0;
+      seen_[c] = 0;
+      cost_[c] = rg_.selfCost[c];
+    }
+    for (std::uint32_t ei : treeEdges) {
+      ++adjEnd_[rg_.edges[ei].u];
+      ++adjEnd_[rg_.edges[ei].v];
+    }
+    std::uint32_t next = 0;
+    for (std::uint32_t c : compClasses) {
+      adjBegin_[c] = next;
+      next += adjEnd_[c];
+      adjEnd_[c] = adjBegin_[c];
+    }
+    for (std::uint32_t ei : treeEdges) {
+      adj_[adjEnd_[rg_.edges[ei].u]++] = ei;
+      adj_[adjEnd_[rg_.edges[ei].v]++] = ei;
+    }
+    // Iterative DFS order from the root.
+    order_.clear();
+    stack_.clear();
+    stack_.push_back({root, kNone, 0});
+    while (!stack_.empty()) {
+      const Visit v = stack_.back();
+      stack_.pop_back();
+      if (seen_[v.node]) continue;
+      seen_[v.node] = 1;
+      order_.push_back(v);
+      for (std::uint32_t i = adjBegin_[v.node]; i < adjEnd_[v.node]; ++i) {
+        const ReducedEdge& e = rg_.edges[adj_[i]];
+        const std::uint32_t nextNode = (e.u == v.node) ? e.v : e.u;
+        if (!seen_[nextNode]) stack_.push_back({nextNode, v.node, adj_[i]});
+      }
+    }
+    // Bottom-up DP, eq. (4): cost[node][c] = selfCost[node][c] + sum over
+    // children of min_p (cost[child][p] + edgeCost(c, p)).
+    for (std::size_t k = order_.size(); k-- > 0;) {
+      const Visit& v = order_[k];
+      if (v.parent == kNone) continue;
+      const ReducedEdge& e = rg_.edges[v.parentEdge];
+      for (int pc = 0; pc < 2; ++pc) {
+        std::int64_t best = -1;
+        Color bestColor = Color::Core;
+        for (int cc = 0; cc < 2; ++cc) {
+          // Edge cost with the parent's color on the parent endpoint.
+          const bool parentIsU = (e.u == v.parent);
+          const int idx = parentIsU ? pc * 2 + cc : cc * 2 + pc;
+          const std::int64_t total = cost_[v.node][cc] + e.cost[idx];
+          if (best < 0 || total < best) {
+            best = total;
+            bestColor = Color(cc);
+          }
+        }
+        cost_[v.parent][pc] += best;
+        childBest_[v.node][pc] = bestColor;
+      }
+    }
+    // Backtrace from the root.
+    out_[root] = cost_[root][0] <= cost_[root][1] ? Color::Core
+                                                  : Color::Second;
+    for (std::size_t k = 0; k < order_.size(); ++k) {
+      const Visit& v = order_[k];
+      if (v.parent == kNone) continue;
+      out_[v.node] = childBest_[v.node][int(out_[v.parent])];
+    }
   }
-  // Iterative DFS order from the root.
+
+  Color color(std::uint32_t c) const { return out_[c]; }
+
+ private:
   struct Visit {
     std::uint32_t node;
     std::uint32_t parent;
-    std::size_t parentEdge;
+    std::uint32_t parentEdge;
   };
-  std::pmr::vector<Visit> order(&arena);
-  std::pmr::vector<Visit> stack(&arena);
-  stack.push_back({std::uint32_t(rootClass), std::uint32_t(-1), 0});
-  std::pmr::vector<char> seen(rg.classCount(), 0, &arena);
-  while (!stack.empty()) {
-    Visit v = stack.back();
-    stack.pop_back();
-    if (seen[v.node]) continue;
-    seen[v.node] = 1;
-    order.push_back(v);
-    for (std::size_t ei : adj[v.node]) {
-      const ReducedEdge& e = rg.edges[ei];
-      const std::uint32_t next = (e.u == v.node) ? e.v : e.u;
-      if (!seen[next]) stack.push_back({next, v.node, ei});
-    }
-  }
-  // Bottom-up DP, eq. (4): cost[node][c] = selfCost[node][c] + sum over
-  // children of min_p (cost[child][p] + edgeCost(c, p)).
-  std::pmr::vector<std::array<std::int64_t, 2>> cost(
-      rg.selfCost.begin(), rg.selfCost.end(), &arena);
-  cost.resize(rg.classCount(), {0, 0});
-  // childBest[childNode][parentColor] = chosen child color
-  std::pmr::vector<std::array<Color, 2>> childBest(
-      rg.classCount(), {Color::Unassigned, Color::Unassigned}, &arena);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const Visit& v = *it;
-    if (v.parent == std::uint32_t(-1)) continue;
-    const ReducedEdge& e = rg.edges[v.parentEdge];
-    for (int pc = 0; pc < 2; ++pc) {
-      std::int64_t best = -1;
-      Color bestColor = Color::Core;
-      for (int cc = 0; cc < 2; ++cc) {
-        // Edge cost with the parent's color on the parent endpoint.
-        const bool parentIsU = (e.u == v.parent);
-        const int idx = parentIsU ? pc * 2 + cc : cc * 2 + pc;
-        const std::int64_t total = cost[v.node][cc] + e.cost[idx];
-        if (best < 0 || total < best) {
-          best = total;
-          bestColor = Color(cc);
-        }
-      }
-      cost[v.parent][pc] += best;
-      childBest[v.node][pc] = bestColor;
-    }
-  }
-  // Backtrace from the root.
-  const int rootColor = cost[rootClass][0] <= cost[rootClass][1] ? 0 : 1;
-  out[rootClass] = Color(rootColor);
-  for (const Visit& v : order) {
-    if (v.parent == std::uint32_t(-1)) continue;
-    const Color pc = out[v.parent];
-    assert(pc != Color::Unassigned);
-    out[v.node] = childBest[v.node][int(pc)];
-  }
-  return out;
-}
 
-FlipStats colorFlip(OverlayConstraintGraph& g) {
+  const ReducedGraph& rg_;
+  std::array<std::int64_t, 2>* cost_;
+  std::array<Color, 2>* childBest_;  ///< [child][parent color] -> color
+  std::uint8_t* seen_;
+  Color* out_;
+  std::uint32_t* adjBegin_;
+  std::uint32_t* adjEnd_;
+  std::uint32_t* adj_;
+  std::pmr::vector<Visit> order_;
+  std::pmr::vector<Visit> stack_;
+};
+
+/// Solves every component of `rg` and writes the chosen class colors into
+/// `newColors` (initialized to rg.classColor). O(V + E) plus the sorts.
+FlipStats solveReduced(const ReducedGraph& rg, Arena& arena,
+                       Color* newColors) {
   FlipStats stats;
-  ReducedGraph rg = reduceGraph(g);
-  if (rg.classCount() == 0) return stats;
+  const std::size_t nc = rg.classCount();
+  const std::size_t ne = rg.edges.size();
 
-  Arena& arena = RunContext::current().scratchArena();
-  ArenaScope scope(arena);
-
-  // Components over all reduced edges.
-  Dsu comp(arena, rg.classCount());
+  // Components over all reduced edges; the DSU root is also the DP root.
+  Dsu comp(arena, nc);
   for (const ReducedEdge& e : rg.edges) comp.unite(e.u, e.v);
-  std::unordered_map<std::size_t, std::vector<std::size_t>> edgesOfComp;
-  for (std::size_t ei = 0; ei < rg.edges.size(); ++ei) {
-    edgesOfComp[comp.find(rg.edges[ei].u)].push_back(ei);
+  // Bucket edges, and the classes they touch, by component root (counting
+  // sort: ascending index inside each bucket).
+  std::uint32_t* edgeBegin = arena.allocArray<std::uint32_t>(nc + 1);
+  std::uint32_t* classBegin = arena.allocArray<std::uint32_t>(nc + 1);
+  std::uint8_t* hasEdge = arena.allocArray<std::uint8_t>(nc);
+  std::fill(edgeBegin, edgeBegin + nc + 1, 0);
+  std::fill(classBegin, classBegin + nc + 1, 0);
+  std::fill(hasEdge, hasEdge + nc, 0);
+  for (const ReducedEdge& e : rg.edges) {
+    ++edgeBegin[comp.find(e.u) + 1];
+    hasEdge[e.u] = hasEdge[e.v] = 1;
+  }
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (hasEdge[c]) ++classBegin[comp.find(c) + 1];
+  }
+  std::partial_sum(edgeBegin, edgeBegin + nc + 1, edgeBegin);
+  std::partial_sum(classBegin, classBegin + nc + 1, classBegin);
+  std::uint32_t* compEdges = arena.allocArray<std::uint32_t>(ne);
+  std::uint32_t* compClasses = arena.allocArray<std::uint32_t>(nc);
+  {
+    std::uint32_t* fillE = arena.allocArray<std::uint32_t>(nc);
+    std::uint32_t* fillC = arena.allocArray<std::uint32_t>(nc);
+    std::copy(edgeBegin, edgeBegin + nc, fillE);
+    std::copy(classBegin, classBegin + nc, fillC);
+    for (std::uint32_t ei = 0; ei < ne; ++ei) {
+      compEdges[fillE[comp.find(rg.edges[ei].u)]++] = ei;
+    }
+    for (std::uint32_t c = 0; c < nc; ++c) {
+      if (hasEdge[c]) compClasses[fillC[comp.find(c)]++] = c;
+    }
   }
 
-  std::vector<Color> newColors = rg.classColor;  // start from current
-  for (auto& [root, compEdges] : edgesOfComp) {
+  // One Kruskal DSU for the whole call: components are disjoint, so each
+  // component's unions see exactly what a DSU of its own would.
+  Dsu mst(arena, nc);
+  std::uint32_t* sorted = arena.allocArray<std::uint32_t>(ne);
+  std::uint32_t* treeEdges = arena.allocArray<std::uint32_t>(nc);
+  TreeDp dp(arena, rg);
+  auto selfCostUnder = [&](std::uint32_t c, Color col) {
+    if (col == Color::Unassigned) {
+      return std::min(rg.selfCost[c][0], rg.selfCost[c][1]);
+    }
+    return rg.selfCost[c][int(col)];
+  };
+  for (std::uint32_t root = 0; root < nc; ++root) {
+    const std::span<const std::uint32_t> edges(
+        compEdges + edgeBegin[root], edgeBegin[root + 1] - edgeBegin[root]);
+    if (edges.empty()) continue;
+    const std::span<const std::uint32_t> classes(
+        compClasses + classBegin[root],
+        classBegin[root + 1] - classBegin[root]);
     ++stats.components;
     // Cost of the component under the current coloring. A component with
     // uncolored classes has no meaningful "before": always take the DP.
     std::int64_t before = 0;
     bool anyUncolored = false;
-    std::vector<std::uint32_t> compClasses;
-    for (std::size_t ei : compEdges) {
+    for (std::uint32_t ei : edges) {
       const ReducedEdge& e = rg.edges[ei];
       anyUncolored |= rg.classColor[e.u] == Color::Unassigned ||
                       rg.classColor[e.v] == Color::Unassigned;
       before += edgeCostUnder(e, rg.classColor[e.u], rg.classColor[e.v]);
-      compClasses.push_back(e.u);
-      compClasses.push_back(e.v);
     }
-    std::sort(compClasses.begin(), compClasses.end());
-    compClasses.erase(std::unique(compClasses.begin(), compClasses.end()),
-                      compClasses.end());
-    auto selfCostUnder = [&](std::uint32_t c, Color col) {
-      if (col == Color::Unassigned) {
-        return std::min(rg.selfCost[c][0], rg.selfCost[c][1]);
-      }
-      return rg.selfCost[c][int(col)];
-    };
-    for (std::uint32_t c : compClasses) {
+    for (std::uint32_t c : classes) {
       before += selfCostUnder(c, rg.classColor[c]);
     }
     stats.costBefore += before;
 
-    // Maximum spanning tree (Kruskal on descending weight). Per-component
-    // scratch opens a nested scope so the arena does not grow with the
-    // component count.
-    ArenaScope mstScope(arena);
-    std::vector<std::size_t> sorted = compEdges;
-    std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-      return rg.edges[a].weight > rg.edges[b].weight;
-    });
-    Dsu mst(arena, rg.classCount());
-    std::vector<std::size_t> treeEdges;
-    for (std::size_t ei : sorted) {
-      if (mst.unite(rg.edges[ei].u, rg.edges[ei].v)) treeEdges.push_back(ei);
+    // Maximum spanning tree (Kruskal on descending weight).
+    std::copy(edges.begin(), edges.end(), sorted);
+    std::sort(sorted, sorted + edges.size(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return rg.edges[a].weight > rg.edges[b].weight;
+              });
+    std::size_t treeSize = 0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const ReducedEdge& e = rg.edges[sorted[i]];
+      if (mst.unite(e.u, e.v)) treeEdges[treeSize++] = sorted[i];
     }
 
-    std::vector<Color> dp = treeDpAssign(rg, treeEdges, root);
+    dp.solve(classes, {treeEdges, treeSize}, root);
     // True component cost under the DP coloring (non-tree edges included).
     std::int64_t after = 0;
-    for (std::size_t ei : compEdges) {
+    for (std::uint32_t ei : edges) {
       const ReducedEdge& e = rg.edges[ei];
-      after += edgeCostUnder(e, dp[e.u], dp[e.v]);
+      after += edgeCostUnder(e, dp.color(e.u), dp.color(e.v));
     }
-    for (std::uint32_t c : compClasses) after += selfCostUnder(c, dp[c]);
+    for (std::uint32_t c : classes) after += selfCostUnder(c, dp.color(c));
     if (after <= before || anyUncolored) {
       bool changed = false;
-      for (std::size_t c = 0; c < rg.classCount(); ++c) {
-        if (dp[c] != Color::Unassigned && dp[c] != newColors[c]) {
-          changed = true;
-        }
-        if (dp[c] != Color::Unassigned) newColors[c] = dp[c];
+      for (std::uint32_t c : classes) {
+        changed |= dp.color(c) != newColors[c];
+        newColors[c] = dp.color(c);
       }
       stats.costAfter += after;
       if (changed && after < before) ++stats.componentsImproved;
@@ -324,28 +425,52 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
 
   // Classes untouched by any reduced edge (isolated or intra-only) are
   // optimized directly by their self-cost (ties keep the current color).
-  std::vector<char> inComponent(rg.classCount(), 0);
-  for (const ReducedEdge& e : rg.edges) {
-    inComponent[e.u] = 1;
-    inComponent[e.v] = 1;
-  }
-  for (std::size_t c = 0; c < rg.classCount(); ++c) {
-    if (inComponent[c]) continue;
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (hasEdge[c]) continue;
     const std::int64_t coreCost = rg.selfCost[c][0];
     const std::int64_t secondCost = rg.selfCost[c][1];
     if (newColors[c] == Color::Unassigned || coreCost != secondCost) {
       newColors[c] = coreCost <= secondCost ? Color::Core : Color::Second;
     }
   }
+  return stats;
+}
 
-  // Push class colors back to per-vertex colors.
-  std::vector<Color> vertexColors(g.vertexCount(), Color::Unassigned);
-  for (std::uint32_t v = 0; v < g.vertexCount(); ++v) {
-    const Color cc = newColors[rg.classIndexOfVertex[v]];
-    if (cc == Color::Unassigned) continue;
-    vertexColors[v] = rg.parityOfVertex[v] ? flippedColor(cc) : cc;
+}  // namespace
+
+ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
+  Arena& arena = RunContext::current().scratchArena();
+  ArenaScope scope(arena);
+  std::uint32_t* all = arena.allocArray<std::uint32_t>(g.vertexCount());
+  std::iota(all, all + g.vertexCount(), std::uint32_t(0));
+  ReducedGraph rg;
+  reduceInto(g, {all, g.vertexCount()}, arena, rg);
+  return rg;
+}
+
+FlipStats colorFlip(OverlayConstraintGraph& g) {
+  RunContext& ctx = RunContext::current();
+  Counter& classesReduced = ctx.metrics().counter("flip.classes_reduced");
+  const std::vector<std::uint32_t>& dirty = g.closeDirtyComponents();
+  if (dirty.empty()) return {};
+
+  // Every table below is scratch bump-allocated from the run's arena; the
+  // scope rewind reclaims it wholesale (DESIGN.md §5.9).
+  Arena& arena = ctx.scratchArena();
+  ArenaScope scope(arena);
+  ReducedGraph rg(&arena);
+  reduceInto(g, dirty, arena, rg);
+  classesReduced.add(std::int64_t(rg.classCount()));
+
+  Color* newColors = arena.allocArray<Color>(rg.classCount());
+  std::copy(rg.classColor.begin(), rg.classColor.end(), newColors);
+  const FlipStats stats = solveReduced(rg, arena, newColors);
+  for (std::size_t c = 0; c < rg.classCount(); ++c) {
+    if (newColors[c] != rg.classColor[c]) {
+      g.setVertexColor(rg.classRoot[c], newColors[c]);
+    }
   }
-  g.applyColors(vertexColors);
+  g.clearDirty();
   return stats;
 }
 

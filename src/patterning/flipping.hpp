@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "ocg/graph.hpp"
@@ -38,50 +39,52 @@ struct ReducedEdge {
   bool hard = false;
 };
 
-/// The reduced (super-vertex) view of an overlay constraint graph.
+/// The reduced (super-vertex) view of an overlay constraint graph, or of
+/// the connected components of it that one flip re-solves.
 struct ReducedGraph {
-  /// Reduced-vertex index for each original vertex.
-  std::vector<std::uint32_t> classIndexOfVertex;
-  /// Parity of each original vertex inside its class.
-  std::vector<std::uint8_t> parityOfVertex;
+  explicit ReducedGraph(
+      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : classRoot(mem), classColor(mem), selfCost(mem), edges(mem) {}
+
+  /// Hard-class root vertex of each reduced vertex. Reduced vertices are
+  /// indexed in ascending order of their smallest member vertex.
+  std::pmr::vector<std::uint32_t> classRoot;
   /// Current color of each reduced vertex (its class-root color).
-  std::vector<Color> classColor;
-  /// Cost of intra-class non-hard edges under each class color (asymmetric
-  /// scenario rules make the two choices differ even at fixed parity).
-  std::vector<std::array<std::int64_t, 2>> selfCost;
-  std::vector<ReducedEdge> edges;
+  std::pmr::vector<Color> classColor;
+  /// Cost of per-vertex priors and intra-class non-hard edges under each
+  /// class color (asymmetric scenario rules make the two choices differ
+  /// even at fixed parity).
+  std::pmr::vector<std::array<std::int64_t, 2>> selfCost;
+  /// In ascending order of each class pair's first scenario edge.
+  std::pmr::vector<ReducedEdge> edges;
 
   std::size_t classCount() const { return classColor.size(); }
 };
 
-/// Builds the reduced graph: one vertex per hard class; all alive edges
-/// whose endpoints fall in different classes are aggregated per class pair
-/// (parallel scenario edges sum their cost vectors, mirroring the paper's
-/// multi-edge OCG).
+/// Builds the reduced graph of the whole layer: one vertex per hard class;
+/// all alive edges whose endpoints fall in different classes are
+/// aggregated per class pair (parallel scenario edges sum their cost
+/// vectors, mirroring the paper's multi-edge OCG).
 ReducedGraph reduceGraph(const OverlayConstraintGraph& g);
 
 /// Statistics of one flipping pass.
 struct FlipStats {
-  std::int64_t costBefore = 0;  ///< total reduced-edge cost before
-  std::int64_t costAfter = 0;   ///< total reduced-edge cost after
-  int components = 0;           ///< components processed
+  std::int64_t costBefore = 0;  ///< reduced-edge cost before, solved part
+  std::int64_t costAfter = 0;   ///< reduced-edge cost after, solved part
+  int components = 0;           ///< components solved
   int componentsImproved = 0;   ///< components whose coloring changed
 };
 
-/// Runs the full flipping pipeline on one constraint graph and applies the
-/// resulting colors. Uncolored classes are colored too (the DP treats both
-/// options symmetrically).
+/// Runs the flipping pipeline on the connected components of `g` that
+/// changed since its last flip and applies the resulting colors; every
+/// other component is already a fixed point of the pipeline, so the
+/// colors equal a whole-layer pass (DESIGN.md §5.4/5.5). Uncolored classes
+/// are colored too (the DP treats both options symmetrically). Adds the
+/// reduced class count to the `flip.classes_reduced` counter.
 FlipStats colorFlip(OverlayConstraintGraph& g);
 
 /// Convenience: flips every layer of an overlay model; returns summed stats.
 class OverlayModel;
 FlipStats colorFlipAll(OverlayModel& model);
-
-/// Exposed for tests: optimal DP assignment for one component given by
-/// tree edges (indices into `rg.edges`). Returns per-class colors for the
-/// classes present in the component (others Unassigned).
-std::vector<Color> treeDpAssign(const ReducedGraph& rg,
-                                const std::vector<std::size_t>& treeEdges,
-                                std::size_t rootClass);
 
 }  // namespace sadp

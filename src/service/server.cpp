@@ -501,7 +501,21 @@ void RouteServer::bumpCacheCounters() {
 
 bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
                    std::string* err) {
-  if (const JsonValue* b = req.find("benchmark"); b && b->isString()) {
+  if (const JsonValue* b = req.find("benchmark"); b != nullptr) {
+    // A paper design fixes every one of these; one that is sent anyway
+    // would be silently ignored, so the request is refused instead.
+    for (const char* key :
+         {"nets", "width", "height", "layers", "pin_candidates", "seed"}) {
+      if (req.find(key) != nullptr) {
+        *err = std::string("load takes 'benchmark' or '") + key +
+               "', not both";
+        return false;
+      }
+    }
+    if (!b->isString()) {
+      *err = "benchmark must be a string";
+      return false;
+    }
     try {
       *spec = paperBenchmark(b->asString());
     } catch (const std::invalid_argument& e) {

@@ -52,9 +52,9 @@ inline constexpr std::int64_t kLoadMaxThreads = 256;
 
 /// Design spec of a `load` request: a paper `benchmark` (optionally
 /// `scale`d), or explicit nets/width/height plus optional layers, seed
-/// and pin_candidates. A missing, mistyped or out-of-range field fails
-/// with a message in *err -- it is never narrowed or ignored. The spec
-/// name is left empty for explicit designs.
+/// and pin_candidates, never both. A missing, mistyped or out-of-range
+/// field fails with a message in *err -- it is never narrowed or ignored.
+/// The spec name is left empty for explicit designs.
 bool parseLoadSpec(const JsonValue& req, BenchmarkSpec* spec,
                    std::string* err);
 

@@ -6,6 +6,9 @@
 
 #include <random>
 
+#include "run/run_context.hpp"
+#include "trace/metrics.hpp"
+
 namespace sadp {
 namespace {
 
@@ -204,6 +207,64 @@ TEST(Flip, MstPrefersSignificantEdges) {
   colorFlip(g);
   EXPECT_EQ(currentCost(g), 1);  // brute-force optimum is 1
   EXPECT_EQ(currentCost(g), bruteForceOptimum(g));
+}
+
+// A flip leaves every component at a fixed point: re-solving all of them
+// changes no color and improves nothing. Local flipping skips untouched
+// components on exactly this ground (DESIGN.md §5.4/5.5).
+TEST(Flip, SecondFlipIsNoOp) {
+  std::mt19937 rng(23);
+  std::uniform_int_distribution<int> cost(0, 6);
+  std::uniform_int_distribution<int> vtx(0, 11);
+  for (int iter = 0; iter < 60; ++iter) {
+    OverlayConstraintGraph g;
+    for (int e = 0; e < 16; ++e) {
+      const int a = vtx(rng), b = vtx(rng);
+      g.addScenario(a, b, e % 5 == 0 ? hardDiff()
+                                     : edgeCosts(cost(rng), cost(rng),
+                                                 cost(rng), cost(rng)));
+    }
+    g.setPrior(vtx(rng), cost(rng), cost(rng));
+    for (int v = 0; v < 12; ++v) {
+      if (g.findVertex(v) >= 0 && vtx(rng) % 3 == 0) {
+        g.setColor(v, vtx(rng) % 2 ? Color::Core : Color::Second);
+      }
+    }
+    colorFlip(g);
+    std::vector<Color> first;
+    for (NetId net : g.vertexNets()) first.push_back(g.colorOf(net));
+    // Re-setting each color marks every vertex dirty without changing it.
+    for (NetId net : g.vertexNets()) g.setColor(net, g.colorOf(net));
+    const FlipStats s = colorFlip(g);
+    EXPECT_EQ(s.componentsImproved, 0) << "iter " << iter;
+    for (std::size_t v = 0; v < first.size(); ++v) {
+      EXPECT_EQ(g.colorOf(g.vertexNets()[v]), first[v])
+          << "iter " << iter << " vertex " << v;
+    }
+  }
+}
+
+// A flip reduces only the components touched since the previous one.
+TEST(Flip, ReducesOnlyTouchedComponents) {
+  RunContext ctx;
+  RunContext::Scope scope(ctx);
+  Counter& reduced = ctx.metrics().counter("flip.classes_reduced");
+  OverlayConstraintGraph g;
+  for (NetId base : {NetId(0), NetId(10)}) {  // two disjoint chains
+    for (NetId v = 1; v < 4; ++v) {
+      g.addScenario(base + v - 1, base + v, edgeCosts(3, 0, 0, 3));
+    }
+  }
+  colorFlip(g);
+  EXPECT_EQ(reduced.value(), 8);
+  colorFlip(g);
+  EXPECT_EQ(reduced.value(), 8);  // nothing changed: nothing reduced
+  g.setColor(11, flippedColor(g.colorOf(11)));
+  const FlipStats s = colorFlip(g);
+  EXPECT_EQ(reduced.value(), 12);  // only the second chain
+  EXPECT_EQ(s.components, 1);
+  EXPECT_EQ(s.componentsImproved, 1);
+  EXPECT_EQ(currentCost(g), 0);
 }
 
 }  // namespace

@@ -131,6 +131,17 @@ TEST(LoadSpec, RejectsOutOfRangeInsteadOfNarrowing) {
       R"({"nets":10,"width":64,"height":64,"seed":"7"})",
       R"({"nets":10,"width":64,"height":64,"seed":7.5})",
       R"({"nets":10,"width":64,"height":64,"seed":9223372036854775808})",
+      // A paper design fixes the explicit design fields; sending one with
+      // it is refused rather than ignored.
+      R"({"benchmark":"Test6","nets":10})",
+      R"({"benchmark":"Test6","width":64})",
+      R"({"benchmark":"Test6","height":64})",
+      R"({"benchmark":"Test6","layers":3})",
+      R"({"benchmark":"Test6","pin_candidates":1})",
+      R"({"benchmark":"Test6","seed":7})",
+      R"({"benchmark":"Test6","seed":-1,"nets":"x"})",
+      R"({"benchmark":6,"nets":10,"width":64,"height":64})",
+      R"({"benchmark":6})",
   };
   for (const char* line : bad) {
     BenchmarkSpec spec;

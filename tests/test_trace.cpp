@@ -164,10 +164,13 @@ TEST(Metrics, CountersByteIdenticalAcrossThreadCounts) {
   const std::vector<CounterSample> one = routeAndSnapshot(1);
   ASSERT_FALSE(one.empty());
   bool sawAstar = false;
+  bool sawFlip = false;
   for (const auto& [name, value] : one) {
     if (name == "astar.routes") sawAstar = value > 0;
+    if (name == "flip.classes_reduced") sawFlip = value > 0;
   }
   EXPECT_TRUE(sawAstar);
+  EXPECT_TRUE(sawFlip);
   for (int threads : {2, 4}) {
     const std::vector<CounterSample> other = routeAndSnapshot(threads);
     ASSERT_EQ(one.size(), other.size()) << "threads=" << threads;

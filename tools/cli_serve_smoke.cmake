@@ -106,6 +106,10 @@ execute_process(
       --expect-error bad_request
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"seed\":\"7\"}' \
       --expect-error bad_request
+    # A paper benchmark fixes the design: explicit fields next to it are
+    # refused, not ignored.
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"benchmark\":\"Test6\",\"seed\":-1,\"nets\":\"x\"}' \
+      --expect-error bad_request
     # timeout_ms:0 expires while queued -> deterministic timeout error.
     client req --json '{\"op\":\"route\",\"session\":\"s\",\"timeout_ms\":0}' --expect-error timeout
     # Session cap 2: third load is rejected.
