@@ -129,6 +129,8 @@ std::ostream& operator<<(std::ostream& os, const Fragment& f);
 struct ColoredFragment {
   Fragment frag;
   Color color = Color::Core;
+  friend constexpr bool operator==(const ColoredFragment&,
+                                   const ColoredFragment&) = default;
 };
 
 /// Track-space separation of two half-open index ranges: 0 if the ranges

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory_resource>
 #include <numeric>
 #include <span>
@@ -187,7 +188,8 @@ class Dsu {
 
 std::int64_t edgeCostUnder(const ReducedEdge& e, Color cu, Color cv) {
   if (cu == Color::Unassigned || cv == Color::Unassigned) {
-    std::int64_t best = e.cost[0];
+    // Best case over the combinations the colored endpoint admits.
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
     for (int a = 0; a < 2; ++a) {
       for (int b = 0; b < 2; ++b) {
         if (cu != Color::Unassigned && int(cu) != a) continue;

@@ -1,11 +1,16 @@
 // Cut check and violation repair of OverlayAwareRouter: the windowed
 // cut-conflict check that can reject a freshly routed net, and the
 // post-route repair loop (color flips, then targeted rip-up & re-route).
-// Their decompose call sequence is part of the output contract: MaskCache
-// hit/miss counters and `decompose.calls` follow it (DESIGN.md §5.9).
+// Both decompose only what a verdict reads (DESIGN.md §5.9): the cut
+// check's without-the-net baseline only when a probe finds conflict boxes
+// near the net, and the repair meter `windowViolations` not at all when a
+// layer's window holds the same colored fragments as its last measure.
+// Outputs are byte-identical to decomposing every window; `decompose.calls`
+// and the MaskCache hit/miss counters are not.
 #include "route/router.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "run/run_context.hpp"
 #include "trace/metrics.hpp"
@@ -14,75 +19,99 @@
 
 namespace sadp {
 
-int OverlayAwareRouter::windowViolations(int layer,
-                                         const Rect& windowTr) const {
+LayerCutCheck checkLayerCuts(OverlayModel& model, NetId net, int layer,
+                             const DesignRules& rules, Nm windowTracks,
+                             const DecomposeOptions& opts) {
+  const std::vector<Fragment> own = model.netFragments(net, layer);
+  if (own.empty()) return {};
+  // Attribution: count only conflict boxes near the net's own metal, and
+  // only the increase over the same count without the net (pre-existing
+  // conflicts elsewhere must not block it).
+  const Nm pitch = rules.pitch();
+  Rect window;
+  std::vector<Rect> ownNm;
+  for (const Fragment& f : own) {
+    window = window.unionWith(Rect{f.xlo, f.ylo, f.xhi, f.yhi});
+    ownNm.push_back(
+        Rect{f.xlo * pitch, f.ylo * pitch, f.xhi * pitch, f.yhi * pitch}
+            .inflated(2 * pitch));
+  }
+  window = window.inflated(windowTracks);
+  OverlayConstraintGraph& g = model.graph(layer);
+  // Conflict boxes of a window decomposition near the net's metal.
+  auto nearOwn = [&](const std::vector<ColoredFragment>& frags) {
+    const auto d = decomposeLayerShared(frags, rules, opts);
+    return int(std::count_if(
+        d->conflictBoxesNm.begin(), d->conflictBoxesNm.end(),
+        [&](const Rect& box) {
+          return std::any_of(ownNm.begin(), ownNm.end(),
+                             [&](const Rect& o) { return o.overlaps(box); });
+        }));
+  };
+  // The baseline feeds only max(0, near - baseline), which is 0 when a
+  // probe finds no box near the net, so it is decomposed on demand. Its
+  // fragments are taken before the first setColor: probing an Unassigned
+  // net colors its whole hard class, which turns an odd-parity classmate
+  // in the window from printed-Core to Second.
+  const std::vector<ColoredFragment> baselineFrags =
+      model.coloredFragmentsInWindow(layer, window, net);
+  std::optional<int> baseline;
+  auto conflictsUnder = [&](Color c) {
+    g.setColor(net, c);
+    const int near = nearOwn(model.coloredFragmentsInWindow(layer, window));
+    if (near == 0) return 0;
+    if (!baseline) baseline = nearOwn(baselineFrags);
+    return std::max(0, near - *baseline);
+  };
+
+  const Color base = model.maskColor(net, layer);
+  int conflicts = conflictsUnder(base);
+  if (conflicts > 0) {
+    // Try every alternative color in index order, keep the best. At
+    // k = 2 this is the single flippedColor(base) probe.
+    Color best = base;
+    for (int ci = 0; ci < g.colorCount() && conflicts > 0; ++ci) {
+      const Color alt = colorFromIndex(ci);
+      if (alt == base) continue;
+      const int altConflicts = conflictsUnder(alt);
+      if (altConflicts < conflicts) {
+        conflicts = altConflicts;
+        best = alt;
+      }
+    }
+    g.setColor(net, best);
+  }
+  return {conflicts, !baseline};
+}
+
+int OverlayAwareRouter::windowViolations(int layer, const Rect& windowTr) {
+  std::vector<ColoredFragment> frags =
+      model_.coloredFragmentsInWindow(layer, windowTr);
+  LastWindow& last = lastWindow_[std::size_t(layer)];
+  // A decomposition is a pure function of its fragment list under this
+  // router's fixed rules and options, so an equal list has an equal count.
+  if (last.violations >= 0 && frags == last.frags) {
+    counters_.windowReuses->add(1);
+    return last.violations;
+  }
   const OverlayReport r =
-      decomposeLayerShared(model_.coloredFragmentsInWindow(layer, windowTr),
-                           grid_->rules(), bindDecomposeOpts())
-          ->report;
-  return r.cutConflicts() + r.hardOverlays;
+      decomposeLayerShared(frags, grid_->rules(), bindDecomposeOpts())->report;
+  last.frags = std::move(frags);
+  last.violations = r.cutConflicts() + r.hardOverlays;
+  return last.violations;
 }
 
 int OverlayAwareRouter::resolveCutConflicts(const Net& net) {
   SADP_SPAN_ARG("router.cut_check", net.id);
-  int bestConflicts = 0;
+  int conflicts = 0;
   for (int layer = 0; layer < grid_->layers(); ++layer) {
-    const std::vector<Fragment> own = model_.netFragments(net.id, layer);
-    if (own.empty()) continue;
-    // Attribution: count only conflict boxes near the net's own metal, and
-    // only the increase over the same count without the net (pre-existing
-    // conflicts elsewhere must not block it).
-    const Nm pitch = grid_->rules().pitch();
-    Rect window;
-    std::vector<Rect> ownNm;
-    for (const Fragment& f : own) {
-      window = window.unionWith(Rect{f.xlo, f.ylo, f.xhi, f.yhi});
-      ownNm.push_back(Rect{f.xlo * pitch, f.ylo * pitch, f.xhi * pitch,
-                           f.yhi * pitch}
-                          .inflated(2 * pitch));
-    }
-    window = window.inflated(opts_.cutCheckWindowTracks);
-    OverlayConstraintGraph& g = model_.graph(layer);
-    // Conflict boxes of the window's decomposition near the net's metal,
-    // leaving out the fragments of `skip`.
-    auto nearOwn = [&](NetId skip) {
-      const auto d = decomposeLayerShared(
-          model_.coloredFragmentsInWindow(layer, window, skip),
-          grid_->rules(), bindDecomposeOpts());
-      return int(std::count_if(
-          d->conflictBoxesNm.begin(), d->conflictBoxesNm.end(),
-          [&](const Rect& box) {
-            return std::any_of(ownNm.begin(), ownNm.end(),
-                               [&](const Rect& o) { return o.overlaps(box); });
-          }));
-    };
-    const int baseline = nearOwn(net.id);
-    auto conflictsUnder = [&](Color c) {
-      g.setColor(net.id, c);
-      return std::max(0, nearOwn(kInvalidNet) - baseline);
-    };
-
-    const Color base = model_.maskColor(net.id, layer);
-    int conflicts = conflictsUnder(base);
-    if (conflicts > 0) {
-      // Try every alternative color in index order, keep the best. At
-      // k = 2 this is exactly the old single flippedColor(base) probe --
-      // same decompose call sequence, same cache hit/miss counters.
-      Color best = base;
-      for (int ci = 0; ci < g.colorCount() && conflicts > 0; ++ci) {
-        const Color alt = colorFromIndex(ci);
-        if (alt == base) continue;
-        const int altConflicts = conflictsUnder(alt);
-        if (altConflicts < conflicts) {
-          conflicts = altConflicts;
-          best = alt;
-        }
-      }
-      g.setColor(net.id, best);
-    }
-    bestConflicts += conflicts;
+    const LayerCutCheck c =
+        checkLayerCuts(model_, net.id, layer, grid_->rules(),
+                       opts_.cutCheckWindowTracks, bindDecomposeOpts());
+    if (c.baselineSkipped) counters_.baselineSkips->add(1);
+    conflicts += c.conflicts;
   }
-  return bestConflicts;
+  return conflicts;
 }
 
 int OverlayAwareRouter::repairViolations(int maxPasses) {

@@ -56,7 +56,8 @@ OverlayAwareRouter::OverlayAwareRouter(RoutingGrid& grid,
       engine_(grid, ctx_),
       ripUpField_(grid),
       t2bField_(grid),
-      states_(netlist.size()) {
+      states_(netlist.size()),
+      lastWindow_(std::size_t(grid.layers())) {
   MetricsRegistry& m = ctx_->metrics();
   counters_.oddCycleRejects = &m.counter("router.oddcycle_rejects");
   counters_.banRejects = &m.counter("router.ban_rejects");
@@ -69,6 +70,8 @@ OverlayAwareRouter::OverlayAwareRouter(RoutingGrid& grid,
   counters_.repairReroutes = &m.counter("repair.reroutes");
   counters_.repairSacrifices = &m.counter("repair.sacrifices");
   counters_.verifySkips = &m.counter("router.verify_skips");
+  counters_.baselineSkips = &m.counter("cut_check.baseline_skips");
+  counters_.windowReuses = &m.counter("repair.window_reuses");
   counters_.negotiateIters = &m.counter("router.negotiate_iter");
   counters_.negotiateOverflow = &m.histogram("router.negotiate_overflow");
   // Reserve every pin candidate so later nets cannot run over them.

@@ -130,6 +130,23 @@ struct RoutingStats {
   }
 };
 
+/// Verdict of Algorithm 1's windowed cut check on one layer.
+struct LayerCutCheck {
+  int conflicts = 0;  ///< new conflict boxes near the net, best color
+  /// The net was checked and no probe needed the without-net baseline.
+  bool baselineSkipped = false;
+};
+
+/// Cut check of `net` on `layer` (route/repair.cpp): decomposes the window
+/// around the net's fragments, inflated by `windowTracks`, and counts the
+/// conflict boxes near the net's metal above the same count without the
+/// net. When that is positive, every alternative color is probed in index
+/// order; the net is left on the best one. A net with no fragments on the
+/// layer is not checked.
+LayerCutCheck checkLayerCuts(OverlayModel& model, NetId net, int layer,
+                             const DesignRules& rules, Nm windowTracks,
+                             const DecomposeOptions& opts);
+
 class OverlayAwareRouter {
  public:
   /// All metrics, spans and parallel fan-out of this router report into /
@@ -167,6 +184,12 @@ class OverlayAwareRouter {
   /// targeted rip-up & re-route of an involved net. Returns the number of
   /// remaining violations (conflicts + hard overlays).
   int repairViolations(int maxPasses = 3);
+
+  /// Cut conflicts plus hard overlays of one layer's decomposition inside
+  /// a track-space window: the local meter of repair and rerouteAway. A
+  /// window whose colored fragments equal the layer's last measured list
+  /// reuses that count instead of decomposing again.
+  int windowViolations(int layer, const Rect& windowTr);
 
  private:
   bool routeNet(const Net& net, bool freshPenaltyField = true);
@@ -238,11 +261,8 @@ class OverlayAwareRouter {
   void tearDownNet(const Net& net);
 
   // Cut check and repair (route/repair.cpp).
-  /// Cut conflicts plus hard overlays of one layer's decomposition inside
-  /// a track-space window: the local meter of repair and rerouteAway.
-  int windowViolations(int layer, const Rect& windowTr) const;
-  /// Counts window-local cut conflicts attributable to `net` under its
-  /// current colors; tries the flipped color when conflicts appear.
+  /// checkLayerCuts over every layer: window-local cut conflicts
+  /// attributable to `net` after trying its alternative colors.
   int resolveCutConflicts(const Net& net);
   /// Rips up a routed net and re-routes it away from `avoidTr` (track box
   /// on `layer`); restores the old route if no better one is found.
@@ -267,6 +287,8 @@ class OverlayAwareRouter {
     Counter* repairReroutes;
     Counter* repairSacrifices;
     Counter* verifySkips;
+    Counter* baselineSkips;
+    Counter* windowReuses;
     Counter* negotiateIters;
     Histogram* negotiateOverflow;
   };
@@ -285,6 +307,13 @@ class OverlayAwareRouter {
   T2bField t2bField_;
   std::vector<NetRouteState> states_;
   RoutingStats stats_;
+  /// Per layer, the last fragment list windowViolations decomposed and its
+  /// count (-1: nothing measured yet).
+  struct LastWindow {
+    std::vector<ColoredFragment> frags;
+    int violations = -1;
+  };
+  std::vector<LastWindow> lastWindow_;
   /// Regions whose grid state may differ from the memo-recorded run
   /// (track space, T2b halo already applied). Only grows within a run.
   std::vector<Rect> changedBoxes_;

@@ -267,5 +267,21 @@ TEST(Flip, ReducesOnlyTouchedComponents) {
   EXPECT_EQ(currentCost(g), 0);
 }
 
+// An uncolored endpoint takes its best case over the colors the other
+// endpoint admits: next to a Second net that is Second/Core (5), not the
+// Core/Core cost (0) the Second net cannot have. Recoloring the Second net
+// to Core then lowers the true cost 5 -> 0 and counts as an improvement.
+TEST(Flip, UncoloredNeighbourImprovementIsCounted) {
+  OverlayConstraintGraph g;
+  g.addScenario(1, 2, edgeCosts(0, 5, 5, 5));
+  g.setColor(1, Color::Second);
+  const FlipStats s = colorFlip(g);
+  EXPECT_EQ(s.costBefore, 5);
+  EXPECT_EQ(s.costAfter, 0);
+  EXPECT_EQ(s.componentsImproved, 1);
+  EXPECT_EQ(g.colorOf(1), Color::Core);
+  EXPECT_EQ(g.colorOf(2), Color::Core);
+}
+
 }  // namespace
 }  // namespace sadp

@@ -19,8 +19,10 @@
 #include "netlist/benchmark.hpp"
 #include "ocg/scenario.hpp"
 #include "route/router.hpp"
+#include "run/run_context.hpp"
 #include "sadp/bitmap.hpp"
 #include "sadp/decompose.hpp"
+#include "trace/metrics.hpp"
 #include "util/parallel_for.hpp"
 
 #ifndef SADP_GOLDEN_DIR
@@ -121,6 +123,28 @@ TEST(GoldenE2E, MultiCandidateFixtureAcrossThreads) {
   const BenchmarkSpec spec = paperBenchmark("Test6").scaled(0.1);
   checkFixture("test6_s010.golden",
                [&](int threads) { return runPipeline(threads, spec); });
+}
+
+// The decompose call sequence is part of the output contract (DESIGN.md
+// §5.9): it drives `decompose.calls` and the service's MaskCache hit/miss
+// counters. A change that adds, skips or reuses a window decomposition
+// must update these figures and say so. Each skipped or reused window is
+// counted once, so the eager sequence (every baseline and every repair
+// window decomposed) is 1 319 + 351 + 65 = 1 735 calls.
+TEST(GoldenE2E, DecomposeCallContractPinned) {
+  const BenchmarkSpec spec = paperBenchmark("Test6").scaled(0.1);
+  for (int threads : {1, 4}) {
+    RunContext ctx;
+    ctx.setThreadCount(threads);
+    BenchmarkInstance inst = makeBenchmark(spec);
+    OverlayAwareRouter router(inst.grid, inst.netlist, RouterOptions{}, &ctx);
+    router.run();
+    MetricsRegistry& m = ctx.metrics();
+    EXPECT_EQ(m.counter("decompose.calls").value(), 1319) << threads;
+    EXPECT_EQ(m.counter("router.cut_rejects").value(), 68) << threads;
+    EXPECT_EQ(m.counter("cut_check.baseline_skips").value(), 351) << threads;
+    EXPECT_EQ(m.counter("repair.window_reuses").value(), 65) << threads;
+  }
 }
 
 // The SIMD dispatch axis must land on the committed document: the scalar

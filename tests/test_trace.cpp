@@ -165,12 +165,18 @@ TEST(Metrics, CountersByteIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(one.empty());
   bool sawAstar = false;
   bool sawFlip = false;
+  bool sawBaselineSkip = false;
+  bool sawWindowReuse = false;
   for (const auto& [name, value] : one) {
     if (name == "astar.routes") sawAstar = value > 0;
     if (name == "flip.classes_reduced") sawFlip = value > 0;
+    if (name == "cut_check.baseline_skips") sawBaselineSkip = value > 0;
+    if (name == "repair.window_reuses") sawWindowReuse = value > 0;
   }
   EXPECT_TRUE(sawAstar);
   EXPECT_TRUE(sawFlip);
+  EXPECT_TRUE(sawBaselineSkip);
+  EXPECT_TRUE(sawWindowReuse);
   for (int threads : {2, 4}) {
     const std::vector<CounterSample> other = routeAndSnapshot(threads);
     ASSERT_EQ(one.size(), other.size()) << "threads=" << threads;

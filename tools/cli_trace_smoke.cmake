@@ -40,7 +40,7 @@ endforeach()
 
 file(READ "${METRICS_FILE}" metrics)
 foreach(counter astar.expansions router.ripups router.cut_rejects
-        router.flips)
+        router.flips cut_check.baseline_skips repair.window_reuses)
   if(NOT metrics MATCHES "\"${counter}\"")
     message(FATAL_ERROR "metrics report lacks counter ${counter}")
   endif()
